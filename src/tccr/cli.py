@@ -69,23 +69,38 @@ def _positive_int(name: str, minimum: int = 1) -> Callable[[str], int]:
     return parse
 
 
+def _positive_finite(name: str) -> Callable[[str], float]:
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}")
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"{name} must be finite and > 0, got {value}")
+        return value
+
+    return parse
+
+
 def _phase(text: str) -> float:
     """Accept plain floats plus the convenient pi forms: pi, pi/3, 2pi/3."""
     raw = text.strip().lower()
+    value = None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        pass
-    if "pi" in raw:
-        head, _, tail = raw.partition("pi")
-        try:
-            factor = float(head) if head not in ("", "+", "-") else float(head + "1")
-            divisor = float(tail[1:]) if tail.startswith("/") else (1.0 if not tail else None)
-            if divisor is not None:
-                return factor * math.pi / divisor
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(f"cannot parse phase {text!r}")
+        if "pi" in raw:
+            head, _, tail = raw.partition("pi")
+            try:
+                factor = float(head) if head not in ("", "+", "-") else float(head + "1")
+                divisor = float(tail[1:]) if tail.startswith("/") else (1.0 if not tail else None)
+                if divisor:
+                    value = factor * math.pi / divisor
+            except ValueError:
+                pass
+    if value is None or not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"cannot parse phase {text!r} as a finite number")
+    return value
 
 
 def _phase_list(text: str) -> list[float]:
@@ -109,15 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_int("d"), default=2)
     p.add_argument("--mu", type=_unit_interval("mu"), default=0.5)
     p.add_argument("--cap", type=_positive_int("cap", 2), default=8)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive_finite("tol"), default=1e-10)
     add_common(p)
 
     p = sub.add_parser("roundtrip", help="both inverse constructions plus the stage identity suite")
     p.add_argument("--d", type=_positive_int("d"), default=2)
     p.add_argument("--mu", type=_unit_interval("mu"), default=0.5)
     p.add_argument("--cap", type=_positive_int("cap", 2), default=8)
-    p.add_argument("--rank-tol", type=float, default=1e-8)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--rank-tol", type=_positive_finite("rank-tol"), default=1e-8)
+    p.add_argument("--tol", type=_positive_finite("tol"), default=1e-8)
     add_common(p)
 
     p = sub.add_parser("irreps", help="relation residuals for every class and phase")
@@ -126,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class-j", type=_positive_int("class-j", 0), default=None,
                    help="restrict to one class (default: all of 0..d)")
     p.add_argument("--phases", type=_phase_list, default=list(DEFAULT_PHASES))
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive_finite("tol"), default=1e-10)
     add_common(p)
 
     p = sub.add_parser("gram", help="exact vacuum pairing matrix, positivity, oracle bridge")
@@ -135,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=_positive_int("cap", 2), default=8)
     p.add_argument("--bridge-count", type=_positive_int("bridge-count", 0), default=20)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive_finite("tol"), default=1e-10)
     add_common(p)
 
     p = sub.add_parser("faithfulness", help="collapse-map equalities and norm domination samples")
@@ -145,13 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--words", type=_positive_int("words"), default=100)
     p.add_argument("--max-len", type=_positive_int("max-len"), default=6)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_finite("tol"), default=1e-8)
     add_common(p)
 
     p = sub.add_parser("qccr", help="one-mode deformed generator and its polar identity")
     p.add_argument("--q", type=_unit_interval("q"), default=0.3)
     p.add_argument("--cap", type=_positive_int("cap", 2), default=12)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_finite("tol"), default=1e-8)
     add_common(p)
 
     p = sub.add_parser("demo", help="small fixed campaign touching every module")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockBasis, LinearOperator, enumerate_basis
+from .fock import FockBasis, LinearOperator, Monomial, enumerate_basis, zero
 
 __all__ = [
     "IrrepSpec",
@@ -118,35 +118,27 @@ def defect_matrix(cap: int) -> np.ndarray:
     return np.eye(cap + 1, dtype=complex) - s @ s.conj().T
 
 
-def _kron_all(factors: list[np.ndarray]) -> np.ndarray:
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
 def build_irrep(spec: IrrepSpec, *, dim_limit: int | None = None) -> GeneratorFamily:
     """Build one family from the catalog on ``max(class_j, 1)`` slots."""
     basis = enumerate_basis(spec.slots, spec.cap, dim_limit=dim_limit)
-    s = shift_matrix(spec.cap)
-    d_mat = defect_matrix(spec.cap)
-    eye = np.eye(spec.cap + 1, dtype=complex)
+    occ = basis.occupations()
+    rows = np.arange(basis.dim)
     j = spec.class_j
 
     ops: list[LinearOperator] = []
     for i in range(1, spec.d + 1):
         if i <= j:
-            factors = [d_mat] * (i - 1) + [s] + [eye] * (j - i)
-            mat = _kron_all(factors)
+            # row q receives the raise of slot i from q - stride when the earlier slots are empty
+            hit = (occ[:, i - 1] >= 1) & ~occ[:, : i - 1].any(axis=1)
+            cols = np.where(hit, rows - basis.stride(i - 1), -1)
+            ops.append(LinearOperator(basis, Monomial(cols, hit.astype(complex))))
         elif i == j + 1:
             phase = cmath.exp(1j * spec.phase)
-            if j == 0:
-                mat = phase * np.eye(basis.dim, dtype=complex)
-            else:
-                mat = phase * _kron_all([d_mat] * j)
+            # j = 0: phase times the identity; otherwise phase times the joint vacuum projection
+            cols = rows if j == 0 else np.where(rows == 0, 0, -1)
+            ops.append(LinearOperator(basis, Monomial(cols, np.full(basis.dim, phase))))
         else:
-            mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-        ops.append(LinearOperator(basis, mat))
+            ops.append(zero(basis))
     return GeneratorFamily(basis=basis, ops=tuple(ops), spec=spec)
 
 
@@ -173,19 +165,21 @@ def build_fock_tccr(d: int, mu: float, cap: int, *, dim_limit: int | None = None
     if not abs(mu) < 1:
         raise ValueError(f"|mu| must be < 1, got {mu}")
     basis = enumerate_basis(d, cap, dim_limit=dim_limit)
-    weights = [math.sqrt(geometric_sum(mu * mu, n + 1)) for n in range(cap)]
+    weights = np.array([math.sqrt(geometric_sum(mu * mu, n + 1)) for n in range(cap)])
+    mu_powers = np.array([float(mu) ** n for n in range(cap + 1)])
+    occ = basis.occupations()
+    rows = np.arange(basis.dim)
 
-    mats = [np.zeros((basis.dim, basis.dim), dtype=complex) for _ in range(d)]
-    for p, state in enumerate(basis.states()):
-        prefix = 1.0
-        for i in range(d):
-            n_i = state[i]
-            if n_i < cap:
-                q = p + (cap + 1) ** (d - 1 - i)  # index of the raised state
-                mats[i][q, p] = prefix * weights[n_i]
-            prefix *= float(mu) ** n_i
-    ops = tuple(LinearOperator(basis, m) for m in mats)
-    return TccrFamily(basis=basis, ops=ops, mu=float(mu))
+    ops = []
+    prefix = np.ones(basis.dim)  # mu to the quanta in the slots before slot i, slot by slot
+    for i in range(d):
+        # row q is the raise of q - stride, whose slot i holds one quantum less
+        hit = occ[:, i] >= 1
+        cols = np.where(hit, rows - basis.stride(i), -1)
+        vals = np.where(hit, prefix * weights[np.maximum(occ[:, i] - 1, 0)], 0.0)
+        ops.append(LinearOperator(basis, Monomial(cols, vals)))
+        prefix = prefix * mu_powers[occ[:, i]]
+    return TccrFamily(basis=basis, ops=tuple(ops), mu=float(mu))
 
 
 def build_qccr_single(q: float, cap: int, *, dim_limit: int | None = None) -> LinearOperator:
@@ -193,7 +187,5 @@ def build_qccr_single(q: float, cap: int, *, dim_limit: int | None = None) -> Li
     if not abs(q) < 1:
         raise ValueError(f"|q| must be < 1, got {q}")
     basis = enumerate_basis(1, cap, dim_limit=dim_limit)
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for n in range(cap):
-        mat[n + 1, n] = math.sqrt(geometric_sum(q, n + 1))
-    return LinearOperator(basis, mat)
+    vals = [0.0] + [math.sqrt(geometric_sum(q, n + 1)) for n in range(cap)]
+    return LinearOperator(basis, Monomial(np.arange(-1, cap), np.array(vals)))

@@ -3,8 +3,21 @@
 The state space is a tensor product of ``slots`` one-sided chains, each
 truncated at occupation ``cap``.  Basis vectors are occupation tuples
 ``(n_1, ..., n_m)`` with ``0 <= n_k <= cap``, enumerated lexicographically
-with the vacuum ``(0, ..., 0)`` at index 0.  All operators are dense complex
-matrices tied to such a basis.
+with the vacuum ``(0, ..., 0)`` at index 0.
+
+Operators are tied to such a basis and stored in one of two forms, picked
+from the operator's structure:
+
+* **monomial** -- at most one nonzero per row and per column, stored as one
+  column index and one value per row (:class:`Monomial`).  Every generator of
+  the Fock models is a weighted lattice shift, so generators, their products,
+  stages, defects, positive parts and polar isometries all take this form;
+  products, adjoints and scalar multiples are O(dim) gathers, and polar
+  factors, square roots of diagonal operators and norms are exact
+  elementwise formulas.
+* **dense** -- a read-only ``(dim, dim)`` complex array, for everything else
+  (sums whose column maps collide, random test matrices).  It is also the
+  reference the monomial paths are tested against.
 
 Relations between shift-type operators hold exactly away from the cap; the
 ``core_residual`` helper measures a relation only on vectors far enough from
@@ -26,6 +39,7 @@ __all__ = [
     "NotPositiveError",
     "BasisMismatchError",
     "FockBasis",
+    "Monomial",
     "LinearOperator",
     "PolarPair",
     "enumerate_basis",
@@ -109,9 +123,15 @@ class FockBasis:
             index //= self.cap + 1
         return tuple(reversed(digits))
 
+    def stride(self, slot: int) -> int:
+        """Index step of one quantum in ``slot`` (0-based; slot 0 most significant)."""
+        return (self.cap + 1) ** (self.slots - 1 - slot)
+
     def occupations(self) -> np.ndarray:
         """(dim, slots) integer array of all occupation tuples in index order."""
-        return np.array(list(self.states()), dtype=int).reshape(self.dim, self.slots)
+        radix = self.cap + 1
+        strides = radix ** np.arange(self.slots - 1, -1, -1, dtype=np.int64)
+        return (np.arange(self.dim, dtype=np.int64)[:, None] // strides) % radix
 
     def core_mask(self, level: int) -> np.ndarray:
         """Boolean mask of basis vectors with every occupation <= level."""
@@ -134,27 +154,105 @@ def enumerate_basis(slots: int, cap: int, *, dim_limit: int | None = None) -> Fo
 
 
 @dataclass(frozen=True, eq=False)
-class LinearOperator:
-    """Dense complex matrix attached to a basis.
+class Monomial:
+    """An operator with at most one nonzero per row and per column.
 
-    Arithmetic is closed over one basis; combining operators on different
-    bases raises :class:`BasisMismatchError`.  Matrices are frozen after
+    Row ``r`` holds ``vals[r]`` in column ``cols[r]``; ``cols[r] = -1`` marks
+    an empty row.  A :class:`LinearOperator` keeps a canonical, read-only copy:
+    empty rows hold the value 0, no stored value is exactly 0, and no two rows
+    share a column (construction raises ``ValueError`` otherwise).
+    """
+
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def _canonical(cols: np.ndarray, vals: np.ndarray) -> Monomial | None:
+    """Drop exact zeros and freeze; None when two rows share a column."""
+    empty = (cols < 0) | (vals == 0)
+    cols = np.where(empty, -1, cols)
+    vals = np.where(empty, 0j, vals)
+    if np.bincount(cols[~empty], minlength=1).max() > 1:
+        return None
+    cols.flags.writeable = False
+    vals.flags.writeable = False
+    return Monomial(cols, vals)
+
+
+def _monomial_of_dense(mat: np.ndarray) -> Monomial | None:
+    """The monomial form of a square matrix, or None if a row or column has two nonzeros."""
+    nonzero = mat != 0
+    per_row = np.count_nonzero(nonzero, axis=1)
+    if per_row.max() > 1 or np.count_nonzero(nonzero, axis=0).max() > 1:
+        return None
+    cols = np.where(per_row == 1, nonzero.argmax(axis=1), -1)
+    # an empty row reads its (zero) last entry
+    return _canonical(cols, mat[np.arange(mat.shape[0]), cols])
+
+
+@dataclass(frozen=True, eq=False)
+class LinearOperator:
+    """Complex operator attached to a basis, stored monomial or dense.
+
+    ``data`` is a square array or a :class:`Monomial`; a dense array with at
+    most one nonzero per row and per column is stored monomial.  ``matrix``
+    gives the dense array in either case.  Arithmetic is closed over one
+    basis; combining operators on different bases raises
+    :class:`BasisMismatchError`.  Stored arrays are frozen after
     construction, so operators can be shared freely across threads.
     Equality is identity; use :meth:`allclose` for numeric comparison.
     """
 
     basis: FockBasis
-    matrix: np.ndarray = field(repr=False)
+    data: np.ndarray | Monomial = field(repr=False)
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.basis.dim, self.basis.dim):
+        dim = self.basis.dim
+        if isinstance(self.data, Monomial):
+            cols = np.asarray(self.data.cols, dtype=np.intp)
+            vals = np.asarray(self.data.vals, dtype=complex)
+            if cols.shape != (dim,) or vals.shape != (dim,):
+                raise ValueError(
+                    f"monomial arrays of shapes {cols.shape}, {vals.shape} do not match "
+                    f"basis dimension {dim}"
+                )
+            if cols.min() < -1 or cols.max() >= dim:
+                raise ValueError(f"monomial column index outside -1..{dim - 1}")
+            mono = _canonical(cols, vals)
+            if mono is None:
+                raise ValueError("monomial rows share a column")
+            object.__setattr__(self, "data", mono)
+            return
+        mat = np.asarray(self.data, dtype=complex)
+        if mat.shape != (dim, dim):
             raise ValueError(
-                f"matrix shape {mat.shape} does not match basis dimension {self.basis.dim}"
+                f"matrix shape {mat.shape} does not match basis dimension {dim}"
             )
+        mono = _monomial_of_dense(mat)
+        if mono is not None:
+            object.__setattr__(self, "data", mono)
+            return
         mat = np.ascontiguousarray(mat)
         mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "data", mat)
+
+    @property
+    def monomial(self) -> Monomial | None:
+        """The monomial form, or None for a dense operator."""
+        return self.data if isinstance(self.data, Monomial) else None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Read-only dense matrix (assembled on each access for a monomial operator)."""
+        mono = self.monomial
+        if mono is None:
+            return self.data
+        dim = self.basis.dim
+        mat = np.zeros((dim, dim), dtype=complex)
+        live = mono.cols >= 0
+        mat[np.flatnonzero(live), mono.cols[live]] = mono.vals[live]
+        mat.flags.writeable = False
+        return mat
 
     def _check_same_basis(self, other: "LinearOperator") -> None:
         if self.basis != other.basis:
@@ -163,25 +261,61 @@ class LinearOperator:
             )
 
     def adjoint(self) -> "LinearOperator":
-        return LinearOperator(self.basis, self.matrix.conj().T)
+        mono = self.monomial
+        if mono is None:
+            return LinearOperator(self.basis, self.data.conj().T)
+        live = mono.cols >= 0
+        cols = np.full(self.basis.dim, -1, dtype=np.intp)
+        vals = np.zeros(self.basis.dim, dtype=complex)
+        cols[mono.cols[live]] = np.flatnonzero(live)
+        vals[mono.cols[live]] = mono.vals[live].conj()
+        return LinearOperator(self.basis, Monomial(cols, vals))
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         self._check_same_basis(other)
+        left, right = self.monomial, other.monomial
+        if left is not None and right is not None:
+            # (L R)[r] = L[r, c] R[c, R.cols[c]] with c = L.cols[r]
+            live = left.cols >= 0
+            mid = left.cols[live]
+            cols = np.full(self.basis.dim, -1, dtype=np.intp)
+            vals = np.zeros(self.basis.dim, dtype=complex)
+            cols[live] = right.cols[mid]
+            vals[live] = left.vals[live] * right.vals[mid]
+            return LinearOperator(self.basis, Monomial(cols, vals))
         return LinearOperator(self.basis, self.matrix @ other.matrix)
 
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
+    def _combine(self, other: "LinearOperator", op: np.ufunc) -> "LinearOperator":
+        """Entrywise ``op`` (add or subtract); monomial when the column maps merge injectively."""
         self._check_same_basis(other)
-        return LinearOperator(self.basis, self.matrix + other.matrix)
+        left, right = self.monomial, other.monomial
+        if left is not None and right is not None:
+            clash = (left.cols >= 0) & (right.cols >= 0) & (left.cols != right.cols)
+            if not clash.any():
+                cols = np.where(left.cols >= 0, left.cols, right.cols)
+                try:
+                    return LinearOperator(self.basis, Monomial(cols, op(left.vals, right.vals)))
+                except ValueError:  # the merged rows share a column
+                    pass
+        return LinearOperator(self.basis, op(self.matrix, other.matrix))
+
+    def __add__(self, other: "LinearOperator") -> "LinearOperator":
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        self._check_same_basis(other)
-        return LinearOperator(self.basis, self.matrix - other.matrix)
+        return self._combine(other, np.subtract)
 
     def __neg__(self) -> "LinearOperator":
-        return LinearOperator(self.basis, -self.matrix)
+        mono = self.monomial
+        if mono is None:
+            return LinearOperator(self.basis, -self.data)
+        return LinearOperator(self.basis, Monomial(mono.cols, -mono.vals))
 
     def __mul__(self, scalar: complex) -> "LinearOperator":
-        return LinearOperator(self.basis, self.matrix * complex(scalar))
+        mono = self.monomial
+        if mono is None:
+            return LinearOperator(self.basis, self.data * complex(scalar))
+        return LinearOperator(self.basis, Monomial(mono.cols, mono.vals * complex(scalar)))
 
     __rmul__ = __mul__
 
@@ -193,12 +327,16 @@ class LinearOperator:
             out = out @ self
         return out
 
+    def _max_abs_entry(self) -> float:
+        """Largest entry modulus (0 for the zero operator)."""
+        mono = self.monomial
+        return float(np.max(np.abs(self.data if mono is None else mono.vals)))
+
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+        return (self - self.adjoint())._max_abs_entry() <= tol
 
     def allclose(self, other: "LinearOperator", tol: float = 1e-12) -> bool:
-        self._check_same_basis(other)
-        return bool(np.max(np.abs(self.matrix - other.matrix)) <= tol)
+        return (self - other)._max_abs_entry() <= tol
 
     def to_json_dict(self) -> dict:
         """Row-major [re, im] dump for golden-file comparisons."""
@@ -221,11 +359,11 @@ class LinearOperator:
 
 
 def identity(basis: FockBasis) -> LinearOperator:
-    return LinearOperator(basis, np.eye(basis.dim, dtype=complex))
+    return LinearOperator(basis, Monomial(np.arange(basis.dim), np.ones(basis.dim, dtype=complex)))
 
 
 def zero(basis: FockBasis) -> LinearOperator:
-    return LinearOperator(basis, np.zeros((basis.dim, basis.dim), dtype=complex))
+    return LinearOperator(basis, Monomial(np.full(basis.dim, -1), np.zeros(basis.dim, dtype=complex)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,13 +374,21 @@ class PolarPair:
     positive_part: LinearOperator
 
 
-def operator_norm(a: LinearOperator) -> float:
-    """Largest singular value of the matrix."""
-    if not np.all(np.isfinite(a.matrix)):
+def _require_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
         raise ValueError("operator has non-finite entries")
+
+
+def operator_norm(a: LinearOperator) -> float:
+    """Largest singular value of the matrix (largest entry modulus when monomial)."""
+    mono = a.monomial
+    if mono is not None:
+        _require_finite(mono.vals)
+        return a._max_abs_entry()
+    _require_finite(a.data)
     if a.basis.dim == 1:
-        return float(abs(a.matrix[0, 0]))
-    return float(np.linalg.norm(a.matrix, 2))
+        return float(abs(a.data[0, 0]))
+    return float(np.linalg.norm(a.data, 2))
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
@@ -263,7 +409,21 @@ def psd_sqrt(a: LinearOperator, *, psd_tol: float = 1e-10, clamp_tol: float = 1e
 
     Eigenvalues below ``-psd_tol`` raise :class:`NotPositiveError`; tiny
     eigenvalues (below ``clamp_tol``) are clamped to zero before the root.
+    A diagonal input is its own eigendecomposition, so the same checks and
+    the clamp run elementwise on its diagonal.
     """
+    mono = a.monomial
+    if mono is not None and np.all((mono.cols < 0) | (mono.cols == np.arange(a.basis.dim))):
+        diag = mono.vals
+        asym = float(np.max(np.abs(diag - diag.conj())))
+        if asym > 1e-10:
+            raise NotPositiveError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
+        eigvals = ((diag + diag.conj()) / 2.0).real
+        low = float(eigvals.min())
+        if low < -psd_tol:
+            raise NotPositiveError(f"matrix has negative eigenvalue {low:.6e}")
+        root = np.sqrt(np.where(eigvals < clamp_tol, 0.0, eigvals))
+        return LinearOperator(a.basis, Monomial(np.arange(a.basis.dim), root))
     if not a.is_hermitian(tol=1e-10):
         asym = float(np.max(np.abs(a.matrix - a.matrix.conj().T)))
         raise NotPositiveError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
@@ -284,10 +444,29 @@ def polar_left(a: LinearOperator, rank_tol: float = 1e-8) -> PolarPair:
     S is assembled from the SVD factors restricted to singular values above
     ``rank_tol`` relative to the largest one, so its initial space is the
     closure of range(A*) and its final space is range(A).  The zero operator
-    decomposes as (0, 0).
+    decomposes as (0, 0).  For a monomial A the singular values are the entry
+    moduli |v|, so C = diag(|v|) row by row and S keeps v/|v| where |v| passes
+    the same relative threshold.
     """
     if rank_tol <= 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
+    mono = a.monomial
+    if mono is not None:
+        _require_finite(mono.vals)
+        mags = np.abs(mono.vals)
+        smax = float(mags.max())
+        if smax == 0.0:
+            z = zero(a.basis)
+            return PolarPair(isometric_part=z, positive_part=z)
+        keep = mags > rank_tol * smax
+        # real and imaginary parts over |v| separately: a complex division by a
+        # subnormal |v| overflows
+        phases = np.zeros(a.basis.dim, dtype=complex)
+        phases.real[keep] = mono.vals.real[keep] / mags[keep]
+        phases.imag[keep] = mono.vals.imag[keep] / mags[keep]
+        isometric = LinearOperator(a.basis, Monomial(mono.cols, phases))
+        positive = LinearOperator(a.basis, Monomial(np.arange(a.basis.dim), mags))
+        return PolarPair(isometric_part=isometric, positive_part=positive)
     u, s, vh = np.linalg.svd(a.matrix)
     smax = float(s[0]) if s.size else 0.0
     if smax == 0.0:
@@ -307,6 +486,8 @@ def core_residual(lhs: LinearOperator, rhs: LinearOperator, degree: int) -> floa
     ``degree`` is the longest generator word appearing in the relation; a word
     of that length cannot push a vector with all occupations <= cap - degree
     past the cap, so a true relation gives exactly zero up to float rounding.
+    A monomial difference has norm max|v| over the entries in core columns
+    (exactly 0 when there are none).
     """
     lhs._check_same_basis(rhs)
     basis = lhs.basis
@@ -317,5 +498,10 @@ def core_residual(lhs: LinearOperator, rhs: LinearOperator, degree: int) -> floa
             f"relation degree {degree} exceeds cap {basis.cap}; increase the truncation"
         )
     mask = basis.core_mask(basis.cap - degree)
-    block = (lhs.matrix - rhs.matrix)[:, mask]
-    return spectral_norm(block)
+    diff = lhs - rhs
+    mono = diff.monomial
+    if mono is not None:
+        live = mono.cols >= 0
+        kept = mono.vals[live][mask[mono.cols[live]]]
+        return float(np.max(np.abs(kept), initial=0.0))
+    return spectral_norm(diff.data[:, mask])

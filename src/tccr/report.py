@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -40,12 +41,22 @@ class VerificationReport:
     command: str
     params: dict[str, Any] = field(default_factory=dict)
     checks: list[Check] = field(default_factory=list)
+    _ids: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        initial, self.checks = self.checks, []
+        for c in initial:
+            self.add(c.id, c.description, c.residual, c.tolerance)
 
     def add(self, id: str, description: str, residual: float, tolerance: float) -> Check:
-        if any(c.id == id for c in self.checks):
+        """Append a check; ids are unique and both numbers must be finite."""
+        if id in self._ids:
             raise ValueError(f"duplicate check id {id!r}")
+        if not (math.isfinite(residual) and math.isfinite(tolerance)):
+            raise ValueError(f"check {id!r} has a non-finite residual or tolerance: {residual}, {tolerance}")
         check = Check(id=id, description=description, residual=float(residual), tolerance=float(tolerance))
         self.checks.append(check)
+        self._ids.add(id)
         return check
 
     def extend(self, other: "VerificationReport") -> None:
@@ -94,7 +105,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "VerificationReport":
@@ -106,7 +117,7 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(json.loads(text, parse_constant=_reject_constant))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -128,7 +139,7 @@ class VerificationReport:
         lines = [
             f"# {self.command}",
             "",
-            "params: " + json.dumps(_canonical_params(self.params), sort_keys=True),
+            "params: " + json.dumps(_canonical_params(self.params), sort_keys=True, allow_nan=False),
             "",
             "| id | description | residual | tolerance | pass |",
             "|---|---|---|---|---|",
@@ -140,6 +151,10 @@ class VerificationReport:
             )
         lines += ["", f"summary: {self.passed}/{self.total} passed", ""]
         return "\n".join(lines)
+
+
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"report contains the non-finite value {name}")
 
 
 def _canonical_params(params: Mapping[str, Any]) -> dict[str, Any]:

@@ -41,6 +41,26 @@ class TestExitCodes:
         assert code == 2
         assert "exceeds limit" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-8"])
+    @pytest.mark.parametrize(
+        "subcommand,flag",
+        [(s, "--tol") for s in ("verify", "roundtrip", "irreps", "gram", "faithfulness", "qccr")]
+        + [("roundtrip", "--rank-tol")],
+    )
+    def test_non_finite_or_non_positive_tolerance_is_two(self, capsys, subcommand, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main([subcommand, f"{flag}={value}"])
+        assert err.value.code == 2
+        assert "finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["faithfulness", "--phase", "nan"], ["irreps", "--phases", "0,inf"],
+                                      ["irreps", "--phases", "pi/0"]])
+    def test_non_finite_phase_is_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_unwritable_output_is_two(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"
         code, _, err = run(capsys, "qccr", "--q", "0.3", "--cap", "6", "--out", str(target))

@@ -47,6 +47,14 @@ class TestEnumerateBasis:
         for k in range(basis.dim):
             assert basis.index_of(basis.state_at(k)) == k
 
+    @pytest.mark.parametrize("slots,cap", [(1, 1), (1, 6), (2, 3), (3, 4), (4, 2)])
+    def test_occupations_and_core_mask_match_the_state_list(self, slots, cap):
+        basis = enumerate_basis(slots, cap)
+        states = np.array(list(basis.states()), dtype=int).reshape(basis.dim, slots)
+        assert np.array_equal(basis.occupations(), states)
+        for level in range(cap + 1):
+            assert np.array_equal(basis.core_mask(level), (states <= level).all(axis=1))
+
     def test_capacity_error_names_dimension(self):
         with pytest.raises(CapacityError, match="100000"):
             enumerate_basis(5, 9)

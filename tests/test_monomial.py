@@ -1,0 +1,297 @@
+"""Differential tests: every monomial fast path against dense numpy on ``.matrix``.
+
+The references below are the dense formulas (``@`` on arrays, SVD polar
+factors, ``eigh`` square roots, 2-norms of core blocks), evaluated on the
+dense matrices of the same operators.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from tccr.families import IrrepSpec, build_fock_tccr, build_irrep
+from tccr.fock import (
+    LinearOperator,
+    Monomial,
+    NotPositiveError,
+    core_residual,
+    enumerate_basis,
+    identity,
+    operator_norm,
+    polar_left,
+    psd_sqrt,
+    zero,
+)
+from tccr.reconstruct import generators_from_isometries, positive_part_squared
+
+SIZES = ((1, 6), (2, 4), (3, 3))
+PHASES = (0.0, math.pi / 3, math.pi)
+MU = 0.5
+
+
+def ref_polar(mat, rank_tol=1e-8):
+    """SVD polar factors and the spread s_max / s_min of the kept singular values.
+
+    The SVD's singular vectors, and so its isometric factor, carry an error of
+    about eps times that spread.
+    """
+    u, s, vh = np.linalg.svd(mat)
+    if s[0] == 0:
+        return np.zeros_like(mat), np.zeros_like(mat), 1.0
+    keep = s > rank_tol * s[0]
+    return u[:, keep] @ vh[keep], (u * s) @ u.conj().T, s[0] / s[keep][-1]
+
+
+def ref_psd_sqrt(mat, clamp_tol=1e-12):
+    w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    root = (v * np.sqrt(np.where(w < clamp_tol, 0.0, w))) @ v.conj().T
+    return (root + root.conj().T) / 2.0
+
+
+def ref_core_residual(lhs, rhs, basis, degree):
+    mask = np.array([all(n <= basis.cap - degree for n in s) for s in basis.states()])
+    return float(np.linalg.norm((lhs - rhs)[:, mask], 2))
+
+
+def gap(x, y):
+    return float(np.max(np.abs(x - y)))
+
+
+def is_monomial_matrix(mat):
+    nz = mat != 0
+    return nz.sum(axis=0).max() <= 1 and nz.sum(axis=1).max() <= 1
+
+
+def pool(d, cap, class_j, phase):
+    """Generators, adjoints, range projections and the whole stage trace of one family."""
+    fam = build_irrep(IrrepSpec(d=d, class_j=class_j, cap=cap, phase=phase))
+    ops = list(fam.ops) + [t.adjoint() for t in fam.ops] + [t @ t.adjoint() for t in fam.ops]
+    rebuilt, trace = generators_from_isometries(fam, MU)
+    ops += list(rebuilt.ops) + list(trace.stages.values())
+    ops += list(trace.positive_parts) + list(trace.defects)
+    return fam.basis, ops
+
+
+def all_pools():
+    for d, cap in SIZES:
+        for class_j in range(d + 1):
+            for phase in PHASES if class_j < d else (0.0,):
+                yield pytest.param(d, cap, class_j, phase, id=f"d{d}-cap{cap}-j{class_j}-phi{phase:.2f}")
+
+
+def random_monomial(basis, rng, tiny=False):
+    dim = basis.dim
+    cols = rng.permutation(dim)
+    cols[rng.random(dim) < 0.3] = -1
+    vals = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    if tiny:
+        vals[rng.random(dim) < 0.2] *= 1e-12
+    return LinearOperator(basis, Monomial(cols, vals))
+
+
+class TestStorageForm:
+    @pytest.mark.parametrize("d,cap,class_j,phase", all_pools())
+    def test_stage_calculus_stays_monomial(self, d, cap, class_j, phase):
+        _, ops = pool(d, cap, class_j, phase)
+        for op in ops:
+            assert op.monomial is not None
+            assert is_monomial_matrix(op.matrix)
+            again = LinearOperator(op.basis, op.matrix)
+            assert again.monomial is not None
+            assert np.array_equal(again.matrix, op.matrix)
+
+    def test_dense_input_with_two_nonzeros_in_a_row_or_column_stays_dense(self):
+        basis = enumerate_basis(1, 2)
+        row = np.zeros((3, 3), dtype=complex)
+        row[0, 0] = row[0, 2] = 1.0
+        assert LinearOperator(basis, row).monomial is None
+        assert LinearOperator(basis, row.T).monomial is None
+        assert np.array_equal(LinearOperator(basis, row).matrix, row)
+
+    def test_exact_zeros_are_dropped(self):
+        basis = enumerate_basis(2, 3)
+        one = identity(basis)
+        for empty in (0.0 * one, one - one, zero(basis), -zero(basis)):
+            assert empty.monomial is not None
+            assert np.all(empty.monomial.cols == -1)
+            assert np.all(empty.monomial.vals == 0)
+            assert np.all(empty.matrix == 0)
+
+    def test_invalid_monomials_rejected(self):
+        basis = enumerate_basis(1, 2)
+        ones = np.ones(3)
+        with pytest.raises(ValueError, match="share a column"):
+            LinearOperator(basis, Monomial(np.array([0, 0, 1]), ones))
+        with pytest.raises(ValueError, match="outside"):
+            LinearOperator(basis, Monomial(np.array([0, 1, 3]), ones))
+        with pytest.raises(ValueError, match="do not match"):
+            LinearOperator(basis, Monomial(np.array([0, 1]), ones[:2]))
+
+    def test_matrix_is_read_only(self):
+        op = build_irrep(IrrepSpec(d=2, class_j=2, cap=3)).ops[0]
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 1.0
+
+
+class TestArithmetic:
+    @pytest.mark.parametrize("d,cap,class_j,phase", all_pools())
+    def test_products_adjoints_and_scalars(self, d, cap, class_j, phase):
+        _, ops = pool(d, cap, class_j, phase)
+        for x in ops:
+            assert np.array_equal(x.adjoint().matrix, x.matrix.conj().T)
+            assert np.array_equal((-x).matrix, -x.matrix)
+            assert np.array_equal(((0.5 - 2j) * x).matrix, x.matrix * (0.5 - 2j))
+        for x, y in itertools.product(ops[:12], ops):
+            product = x @ y
+            assert product.monomial is not None
+            assert gap(product.matrix, x.matrix @ y.matrix) <= 1e-14
+
+    def test_mixed_products_take_the_dense_form(self):
+        rng = np.random.default_rng(1)
+        fam = build_fock_tccr(2, MU, 4)
+        dense = LinearOperator(fam.basis, rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25)))
+        assert dense.monomial is None
+        for a in fam.ops + tuple(op.adjoint() for op in fam.ops):
+            assert gap((a @ dense).matrix, a.matrix @ dense.matrix) <= 1e-13
+            assert gap((dense @ a).matrix, dense.matrix @ a.matrix) <= 1e-13
+            assert gap((a + dense).matrix, a.matrix + dense.matrix) == 0.0
+
+    def test_sums_with_compatible_column_maps_stay_monomial(self):
+        fam = build_irrep(IrrepSpec(d=2, class_j=2, cap=5))
+        t1, t2 = fam.ops
+        cases = [
+            (t1 @ t1.adjoint(), t2 @ t2.adjoint()),  # two diagonals
+            (t1, 2.0 * t1),  # one column map
+            (t1, t1.power(5).adjoint()),  # disjoint rows and columns: a cyclic shift
+            (identity(fam.basis), -(t1 @ t1.adjoint())),  # cancellation leaves a projection
+        ]
+        for x, y in cases:
+            for got, want in ((x + y, x.matrix + y.matrix), (x - y, x.matrix - y.matrix)):
+                assert got.monomial is not None
+                assert np.array_equal(got.matrix, want)
+
+    def test_sums_with_clashing_column_maps_fall_back_to_dense(self):
+        fam = build_irrep(IrrepSpec(d=2, class_j=2, cap=5))
+        t1, t2 = fam.ops
+        cases = [
+            (t1, t1.adjoint()),  # one row holds two different columns
+            (t1, t2),  # two rows land in one column
+        ]
+        for x, y in cases:
+            for got, want in ((x + y, x.matrix + y.matrix), (x - y, x.matrix - y.matrix)):
+                assert got.monomial is None
+                assert np.array_equal(got.matrix, want)
+
+
+class TestDecompositions:
+    @pytest.mark.parametrize("d,cap,class_j,phase", all_pools())
+    def test_polar_left_matches_svd(self, d, cap, class_j, phase):
+        basis, ops = pool(d, cap, class_j, phase)
+        rng = np.random.default_rng(d * 100 + cap * 10 + class_j)
+        ops = ops + [random_monomial(basis, rng, tiny=True) for _ in range(3)]
+        for op in ops:
+            pair = polar_left(op)
+            iso, pos, spread = ref_polar(op.matrix)
+            scale = max(operator_norm(op), 1.0)
+            assert pair.isometric_part.monomial is not None
+            assert pair.positive_part.monomial is not None
+            assert gap(pair.isometric_part.matrix, iso) <= 1e-13 * spread
+            assert gap(pair.positive_part.matrix, pos) <= 1e-12 * scale
+
+    def test_polar_left_of_subnormal_entries_has_unit_phases(self):
+        basis = enumerate_basis(1, 2)
+        op = LinearOperator(basis, Monomial(np.array([1, 2, -1]), np.array([3e-310 + 4e-310j, 5e-310, 0])))
+        phases = polar_left(op).isometric_part.monomial.vals
+        assert np.allclose(phases[:2], [0.6 + 0.8j, 1.0], atol=1e-9)
+
+    @pytest.mark.parametrize("d,cap,class_j,phase", all_pools())
+    def test_psd_sqrt_of_diagonal_matches_eigh(self, d, cap, class_j, phase):
+        fam = build_irrep(IrrepSpec(d=d, class_j=class_j, cap=cap, phase=phase))
+        for t in fam.ops:
+            for square in (positive_part_squared(t, MU), t @ t.adjoint()):
+                root = psd_sqrt(square)
+                assert root.monomial is not None
+                assert gap(root.matrix, ref_psd_sqrt(square.matrix)) <= 1e-12
+
+    def test_psd_sqrt_diagonal_errors_and_clamp(self):
+        basis = enumerate_basis(1, 2)
+        with pytest.raises(NotPositiveError, match="negative eigenvalue -1"):
+            psd_sqrt(LinearOperator(basis, np.diag([1.0, -1.0, 0.0])))
+        with pytest.raises(NotPositiveError, match="Hermitian"):
+            psd_sqrt(LinearOperator(basis, np.diag([1.0, 1j, 0.0])))
+        wobble = np.diag([4.0, -5e-11, 1e-13])
+        root = psd_sqrt(LinearOperator(basis, wobble))
+        assert np.array_equal(root.matrix, np.diag([2.0, 0.0, 0.0]).astype(complex))
+        assert gap(root.matrix, ref_psd_sqrt(wobble.astype(complex))) <= 1e-15
+
+    @pytest.mark.parametrize("d,cap,class_j,phase", all_pools())
+    def test_norms_and_core_residuals_match_dense(self, d, cap, class_j, phase):
+        basis, ops = pool(d, cap, class_j, phase)
+        for op in ops:
+            assert operator_norm(op) == pytest.approx(np.linalg.norm(op.matrix, 2), abs=1e-13)
+        # relation-shaped pairs: t* t against the defect, and products against their reverses
+        fam = build_irrep(IrrepSpec(d=d, class_j=class_j, cap=cap, phase=phase))
+        pairs = [(t.adjoint() @ t, p) for t, p in zip(fam.ops, ops[-len(fam.ops) - 1:])]
+        pairs += [(x @ y, y @ x) for x, y in itertools.product(fam.ops, repeat=2)]
+        pairs += [(x, x) for x in ops[:6]]
+        for lhs, rhs in pairs:
+            for degree in (0, 1, 2):
+                got = core_residual(lhs, rhs, degree)
+                want = ref_core_residual(lhs.matrix, rhs.matrix, basis, degree)
+                assert got == pytest.approx(want, abs=1e-13)
+
+    def test_core_residual_of_equal_operators_is_exactly_zero(self):
+        fam = build_fock_tccr(3, MU, 4)
+        for a in fam.ops:
+            assert core_residual(a @ a.adjoint(), a @ a.adjoint(), 2) == 0.0
+
+    def test_core_residual_with_clashing_difference_uses_the_dense_block(self):
+        fam = build_irrep(IrrepSpec(d=2, class_j=2, cap=5))
+        t1 = fam.ops[0]
+        got = core_residual(t1, t1.adjoint(), 1)
+        assert (t1 - t1.adjoint()).monomial is None
+        assert got == pytest.approx(ref_core_residual(t1.matrix, t1.adjoint().matrix, fam.basis, 1), abs=1e-13)
+
+
+letters = st.tuples(st.integers(0, 2), st.booleans())
+
+
+@given(
+    d=st.integers(1, 3),
+    cap=st.integers(2, 4),
+    mu=st.floats(-0.95, 0.95),
+    class_seed=st.integers(0, 3),
+    phase=st.sampled_from(PHASES),
+    word=st.lists(letters, min_size=1, max_size=5),
+)
+@settings(max_examples=60, deadline=None)
+def test_random_words_match_the_dense_path(d, cap, mu, class_seed, phase, word):
+    class_j = class_seed % (d + 1)
+    irrep = build_irrep(IrrepSpec(d=d, class_j=class_j, cap=cap, phase=phase))
+    deformed = build_fock_tccr(d, mu, cap)
+    for fam in (irrep, deformed):
+        op, ref = identity(fam.basis), np.eye(fam.basis.dim, dtype=complex)
+        for index, starred in word:
+            letter = fam.ops[index % d]
+            if starred:
+                letter = letter.adjoint()
+            op, ref = op @ letter, ref @ letter.matrix
+        assert op.monomial is not None
+        assert gap(op.matrix, ref) <= 1e-13
+        assert operator_norm(op) == pytest.approx(np.linalg.norm(ref, 2), abs=1e-12)
+        # a singular value within rounding of the rank cut may land on either side of it
+        sv = np.linalg.svd(ref, compute_uv=False)
+        assume(np.all(np.abs(sv - 1e-8 * sv[0]) > 1e-14 * sv[0]))
+        iso, pos, spread = ref_polar(ref)
+        pair = polar_left(op)
+        assert gap(pair.isometric_part.matrix, iso) <= 1e-13 * spread
+        assert gap(pair.positive_part.matrix, pos) <= 1e-10
+        square = op @ op.adjoint()
+        assert gap(psd_sqrt(square).matrix, ref_psd_sqrt(square.matrix)) <= 1e-10
+        assert core_residual(op, zero(fam.basis), 1) == pytest.approx(
+            ref_core_residual(ref, np.zeros_like(ref), fam.basis, 1), abs=1e-12
+        )

@@ -27,7 +27,7 @@ from tccr.relations import (
     tensor_word_matrix,
     tensor_word_product,
 )
-from tccr.report import VerificationReport
+from tccr.report import Check, VerificationReport, merge_reports
 from tccr.symbolic import NcPolynomial, evaluate_poly, gen, gen_star
 from tccr.families import build_qccr_single, defect_matrix, shift_matrix
 
@@ -297,3 +297,51 @@ class TestReportSerialization:
         report.add("a", "first", 0.0, 1.0)
         with pytest.raises(ValueError, match="duplicate"):
             report.add("a", "again", 0.0, 1.0)
+
+    def test_duplicate_check_ids_rejected_by_extend(self):
+        report = VerificationReport(command="x")
+        report.add("a", "first", 0.0, 1.0)
+        other = VerificationReport(command="y")
+        other.add("a", "second", 0.0, 1.0)
+        with pytest.raises(ValueError, match="duplicate"):
+            report.extend(other)
+
+    def test_duplicate_check_ids_rejected_by_merge(self):
+        parts = []
+        for name in ("x", "y"):
+            part = VerificationReport(command=name)
+            part.add("shared", name, 0.0, 1.0)
+            parts.append(part)
+        with pytest.raises(ValueError, match="duplicate"):
+            merge_reports("both", {}, parts)
+
+    def test_duplicate_check_ids_rejected_on_load(self):
+        doc = json.loads(self.make_report().to_json())
+        doc["checks"].append(dict(doc["checks"][0]))
+        with pytest.raises(ValueError, match="duplicate"):
+            VerificationReport.from_dict(doc)
+        with pytest.raises(ValueError, match="duplicate"):
+            VerificationReport(command="x", checks=[Check("a", "", 0.0, 1.0), Check("a", "", 0.0, 1.0)])
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_values_rejected_on_load(self, token):
+        text = self.make_report().to_json()
+        doc = json.loads(text)
+        first = doc["checks"][0]
+        broken = text.replace(f'"residual": {json.dumps(first["residual"])}', f'"residual": {token}', 1)
+        assert broken != text
+        with pytest.raises(ValueError, match="non-finite"):
+            VerificationReport.from_json(broken)
+
+    @pytest.mark.parametrize("residual,tolerance", [(math.nan, 1.0), (0.0, math.inf), (math.inf, 1.0)])
+    def test_non_finite_checks_rejected(self, residual, tolerance):
+        report = VerificationReport(command="x")
+        with pytest.raises(ValueError, match="non-finite"):
+            report.add("a", "bad", residual, tolerance)
+        assert report.total == 0
+
+    def test_json_output_is_strict(self):
+        report = self.make_report()
+        report.params["bad"] = math.nan
+        with pytest.raises(ValueError):
+            report.to_json()
