@@ -12,7 +12,6 @@ import argparse
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -117,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="report path ('-' or omitted: stdout)")
         p.add_argument("--format", choices=("json", "csv", "md"), default="json")
-        p.add_argument("--jobs", type=_positive_int("jobs"), default=1,
-                       help="worker threads for independent checks")
 
     p = sub.add_parser("verify", help="relation residuals and the norm bound")
     p.add_argument("--d", type=_positive_int("d"), default=2)
@@ -132,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_unit_interval("mu"), default=0.5)
     p.add_argument("--cap", type=_positive_int("cap", 2), default=8)
     p.add_argument("--rank-tol", type=_positive_finite("rank-tol"), default=1e-8)
-    p.add_argument("--tol", type=_positive_finite("tol"), default=1e-8)
+    p.add_argument("--tol", type=_positive_finite("tol"), default=None,
+                   help="tolerance of every check (default: each check's pinned tolerance)")
     add_common(p)
 
     p = sub.add_parser("irreps", help="relation residuals for every class and phase")
@@ -175,13 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_thunks(thunks: Sequence[Callable[[], VerificationReport]], jobs: int) -> list[VerificationReport]:
-    if jobs <= 1 or len(thunks) <= 1:
-        return [f() for f in thunks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda f: f(), thunks))
-
-
 def run_verify(d: int, mu: float, cap: int, tol: float) -> VerificationReport:
     fam = build_fock_tccr(d, mu, cap)
     irrep = build_irrep(IrrepSpec(d=d, class_j=d, cap=cap))
@@ -194,12 +185,14 @@ def run_verify(d: int, mu: float, cap: int, tol: float) -> VerificationReport:
     return merge_reports("verify", params, parts)
 
 
-def run_roundtrip(d: int, mu: float, cap: int, rank_tol: float, tol: float) -> VerificationReport:
+def run_roundtrip(d: int, mu: float, cap: int, rank_tol: float, tol: float | None) -> VerificationReport:
+    """Both constructions and the stage suite; ``tol``, when given, is every check's tolerance."""
     fock = build_irrep(IrrepSpec(d=d, class_j=d, cap=cap))
     fam = build_fock_tccr(d, mu, cap)
+    override = {} if tol is None else {"tolerance": tol}
     parts = [
-        roundtrip_check(fock, mu, rank_tol, a=fam, tolerance=tol),
-        verify_stage_identities(fock, mu),
+        roundtrip_check(fock, mu, rank_tol, a=fam, **override),
+        verify_stage_identities(fock, mu, **override),
     ]
     params = {"d": d, "mu": mu, "cap": cap, "rank_tol": rank_tol, "tol": tol}
     return merge_reports("roundtrip", params, parts)
@@ -210,24 +203,22 @@ def run_irreps(
     cap: int,
     phases: Sequence[float],
     tol: float,
-    jobs: int = 1,
     class_j: int | None = None,
 ) -> VerificationReport:
     if class_j is not None and not 0 <= class_j <= d:
         raise ValueError(f"class_j must lie in 0..{d}, got {class_j}")
     classes = range(d + 1) if class_j is None else (class_j,)
-
-    def job(j: int, phase: float) -> Callable[[], VerificationReport]:
-        def thunk() -> VerificationReport:
-            fam = build_irrep(IrrepSpec(d=d, class_j=j, cap=cap, phase=phase))
-            prefix = f"j{j}/phi{phase:.6f}/"
-            return pi_residuals(fam, tolerance=tol, id_prefix=prefix)
-
-        return thunk
-
-    thunks = [job(j, phi) for j in classes for phi in phases]
+    parts = [
+        pi_residuals(
+            build_irrep(IrrepSpec(d=d, class_j=j, cap=cap, phase=phase)),
+            tolerance=tol,
+            id_prefix=f"j{j}/phi{phase:.6f}/",
+        )
+        for j in classes
+        for phase in phases
+    ]
     params = {"d": d, "cap": cap, "classes": list(classes), "phases": list(phases), "tol": tol}
-    return merge_reports("irreps", params, _run_thunks(thunks, jobs))
+    return merge_reports("irreps", params, parts)
 
 
 def run_gram(
@@ -278,24 +269,12 @@ def run_gram(
 
 
 def run_faithfulness(
-    d: int, cap: int, phase: float, words: int, max_len: int, seed: int, tol: float, jobs: int = 1
+    d: int, cap: int, phase: float, words: int, max_len: int, seed: int, tol: float
 ) -> VerificationReport:
-    thunks: list[Callable[[], VerificationReport]] = []
-    for class_j in range(d):
-        thunks.append(
-            lambda j=class_j: _prefixed(
-                collapse_check(d, j, phase, cap), f"j{j}/"
-            )
-        )
-    thunks.append(
-        lambda: norm_domination_sample(
-            d,
-            cap,
-            phase=phase,
-            n_words=words,
-            max_len=max_len,
-            seed=seed,
-            tolerance=tol,
+    parts = [_prefixed(collapse_check(d, j, phase, cap), f"j{j}/") for j in range(d)]
+    parts.append(
+        norm_domination_sample(
+            d, cap, phase=phase, n_words=words, max_len=max_len, seed=seed, tolerance=tol
         )
     )
     params = {
@@ -307,7 +286,7 @@ def run_faithfulness(
         "seed": seed,
         "tol": tol,
     }
-    return merge_reports("faithfulness", params, _run_thunks(thunks, jobs))
+    return merge_reports("faithfulness", params, parts)
 
 
 def _prefixed(report: VerificationReport, prefix: str) -> VerificationReport:
@@ -394,7 +373,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.subcommand == "roundtrip":
             report = run_roundtrip(args.d, args.mu, args.cap, args.rank_tol, args.tol)
         elif args.subcommand == "irreps":
-            report = run_irreps(args.d, args.cap, args.phases, args.tol, args.jobs, args.class_j)
+            report = run_irreps(args.d, args.cap, args.phases, args.tol, args.class_j)
         elif args.subcommand == "gram":
             report = run_gram(
                 args.d, args.level, args.cap, args.bridge_count, args.seed, args.tol,
@@ -402,7 +381,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         elif args.subcommand == "faithfulness":
             report = run_faithfulness(
-                args.d, args.cap, args.phase, args.words, args.max_len, args.seed, args.tol, args.jobs
+                args.d, args.cap, args.phase, args.words, args.max_len, args.seed, args.tol
             )
         elif args.subcommand == "qccr":
             report = run_qccr(args.q, args.cap, args.tol)

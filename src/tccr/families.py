@@ -46,15 +46,12 @@ class IrrepSpec:
 
     ``class_j = d`` is the vacuum-cyclic class; ``class_j = 0`` is the scalar
     class, realized as ``exp(i*phase)`` times the identity on a single slot.
-    ``mu`` is carried for deformed-family builders and ignored by
-    ``build_irrep``.
     """
 
     d: int
     class_j: int
     cap: int
     phase: float = 0.0
-    mu: float = 0.0
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -63,8 +60,6 @@ class IrrepSpec:
             raise ValueError(f"class_j must lie in 0..{self.d}, got {self.class_j}")
         if self.cap < 1:
             raise ValueError(f"cap must be >= 1, got {self.cap}")
-        if not abs(self.mu) < 1:
-            raise ValueError(f"|mu| must be < 1, got {self.mu}")
         object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
 
     @property

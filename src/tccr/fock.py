@@ -5,19 +5,14 @@ truncated at occupation ``cap``.  Basis vectors are occupation tuples
 ``(n_1, ..., n_m)`` with ``0 <= n_k <= cap``, enumerated lexicographically
 with the vacuum ``(0, ..., 0)`` at index 0.
 
-Operators are tied to such a basis and stored in one of two forms, picked
-from the operator's structure:
-
-* **monomial** -- at most one nonzero per row and per column, stored as one
-  column index and one value per row (:class:`Monomial`).  Every generator of
-  the Fock models is a weighted lattice shift, so generators, their products,
-  stages, defects, positive parts and polar isometries all take this form;
-  products, adjoints and scalar multiples are O(dim) gathers, and polar
-  factors, square roots of diagonal operators and norms are exact
-  elementwise formulas.
-* **dense** -- a read-only ``(dim, dim)`` complex array, for everything else
-  (sums whose column maps collide, random test matrices).  It is also the
-  reference the monomial paths are tested against.
+Operators are tied to such a basis and are monomial: at most one nonzero per
+row and per column, stored as one column index and one value per row
+(:class:`Monomial`).  Every generator of the Fock models is a weighted lattice
+shift, so generators, their products, stages, defects, positive parts and
+polar isometries all take this form.  Products, adjoints and scalar multiples
+are O(dim) gathers; polar factors, square roots and norms are exact
+elementwise formulas.  A sum whose column maps collide is not monomial and
+raises ``ValueError``; ``LinearOperator.matrix`` is a dense view for tests.
 
 Relations between shift-type operators hold exactly away from the cap; the
 ``core_residual`` helper measures a relation only on vectors far enough from
@@ -167,86 +162,67 @@ class Monomial:
     vals: np.ndarray
 
 
-def _canonical(cols: np.ndarray, vals: np.ndarray) -> Monomial | None:
-    """Drop exact zeros and freeze; None when two rows share a column."""
-    empty = (cols < 0) | (vals == 0)
-    cols = np.where(empty, -1, cols)
-    vals = np.where(empty, 0j, vals)
-    if np.bincount(cols[~empty], minlength=1).max() > 1:
-        return None
-    cols.flags.writeable = False
-    vals.flags.writeable = False
-    return Monomial(cols, vals)
-
-
-def _monomial_of_dense(mat: np.ndarray) -> Monomial | None:
-    """The monomial form of a square matrix, or None if a row or column has two nonzeros."""
+def _monomial_of_dense(mat: np.ndarray) -> Monomial:
+    """The monomial form of a square matrix; ValueError if a row or column has two nonzeros."""
     nonzero = mat != 0
     per_row = np.count_nonzero(nonzero, axis=1)
     if per_row.max() > 1 or np.count_nonzero(nonzero, axis=0).max() > 1:
-        return None
+        raise ValueError("matrix is not monomial: a row or column holds two nonzeros")
     cols = np.where(per_row == 1, nonzero.argmax(axis=1), -1)
     # an empty row reads its (zero) last entry
-    return _canonical(cols, mat[np.arange(mat.shape[0]), cols])
+    return Monomial(cols, mat[np.arange(mat.shape[0]), cols])
 
 
 @dataclass(frozen=True, eq=False)
 class LinearOperator:
-    """Complex operator attached to a basis, stored monomial or dense.
+    """Complex monomial operator attached to a basis.
 
-    ``data`` is a square array or a :class:`Monomial`; a dense array with at
-    most one nonzero per row and per column is stored monomial.  ``matrix``
-    gives the dense array in either case.  Arithmetic is closed over one
-    basis; combining operators on different bases raises
-    :class:`BasisMismatchError`.  Stored arrays are frozen after
-    construction, so operators can be shared freely across threads.
-    Equality is identity; use :meth:`allclose` for numeric comparison.
+    ``monomial`` may be given as a :class:`Monomial` or as a square array with
+    at most one nonzero per row and per column, which is converted; any other
+    array raises ``ValueError``.  ``matrix`` is a dense read-only view for
+    tests and diagnostics.  Arithmetic is closed over one basis; combining
+    operators on different bases raises :class:`BasisMismatchError`, and a sum
+    that would hold two nonzeros in a row or column raises ``ValueError``.
+    Stored arrays are frozen after construction, so operators can be shared
+    freely.  Equality is identity.
     """
 
     basis: FockBasis
-    data: np.ndarray | Monomial = field(repr=False)
+    monomial: Monomial = field(repr=False)
 
     def __post_init__(self) -> None:
         dim = self.basis.dim
-        if isinstance(self.data, Monomial):
-            cols = np.asarray(self.data.cols, dtype=np.intp)
-            vals = np.asarray(self.data.vals, dtype=complex)
-            if cols.shape != (dim,) or vals.shape != (dim,):
+        data = self.monomial
+        if not isinstance(data, Monomial):
+            mat = np.asarray(data, dtype=complex)
+            if mat.shape != (dim, dim):
                 raise ValueError(
-                    f"monomial arrays of shapes {cols.shape}, {vals.shape} do not match "
-                    f"basis dimension {dim}"
+                    f"matrix shape {mat.shape} does not match basis dimension {dim}"
                 )
-            if cols.min() < -1 or cols.max() >= dim:
-                raise ValueError(f"monomial column index outside -1..{dim - 1}")
-            mono = _canonical(cols, vals)
-            if mono is None:
-                raise ValueError("monomial rows share a column")
-            object.__setattr__(self, "data", mono)
-            return
-        mat = np.asarray(self.data, dtype=complex)
-        if mat.shape != (dim, dim):
+            data = _monomial_of_dense(mat)
+        cols = np.asarray(data.cols, dtype=np.intp)
+        vals = np.asarray(data.vals, dtype=complex)
+        if cols.shape != (dim,) or vals.shape != (dim,):
             raise ValueError(
-                f"matrix shape {mat.shape} does not match basis dimension {dim}"
+                f"monomial arrays of shapes {cols.shape}, {vals.shape} do not match "
+                f"basis dimension {dim}"
             )
-        mono = _monomial_of_dense(mat)
-        if mono is not None:
-            object.__setattr__(self, "data", mono)
-            return
-        mat = np.ascontiguousarray(mat)
-        mat.flags.writeable = False
-        object.__setattr__(self, "data", mat)
-
-    @property
-    def monomial(self) -> Monomial | None:
-        """The monomial form, or None for a dense operator."""
-        return self.data if isinstance(self.data, Monomial) else None
+        if cols.min() < -1 or cols.max() >= dim:
+            raise ValueError(f"monomial column index outside -1..{dim - 1}")
+        # canonical form: exact zeros dropped, empty rows hold (-1, 0)
+        empty = (cols < 0) | (vals == 0)
+        cols = np.where(empty, -1, cols)
+        vals = np.where(empty, 0j, vals)
+        if np.bincount(cols[~empty], minlength=1).max() > 1:
+            raise ValueError("monomial rows share a column")
+        cols.flags.writeable = False
+        vals.flags.writeable = False
+        object.__setattr__(self, "monomial", Monomial(cols, vals))
 
     @property
     def matrix(self) -> np.ndarray:
-        """Read-only dense matrix (assembled on each access for a monomial operator)."""
+        """Read-only dense matrix, assembled on each access."""
         mono = self.monomial
-        if mono is None:
-            return self.data
         dim = self.basis.dim
         mat = np.zeros((dim, dim), dtype=complex)
         live = mono.cols >= 0
@@ -262,8 +238,6 @@ class LinearOperator:
 
     def adjoint(self) -> "LinearOperator":
         mono = self.monomial
-        if mono is None:
-            return LinearOperator(self.basis, self.data.conj().T)
         live = mono.cols >= 0
         cols = np.full(self.basis.dim, -1, dtype=np.intp)
         vals = np.zeros(self.basis.dim, dtype=complex)
@@ -274,30 +248,23 @@ class LinearOperator:
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         self._check_same_basis(other)
         left, right = self.monomial, other.monomial
-        if left is not None and right is not None:
-            # (L R)[r] = L[r, c] R[c, R.cols[c]] with c = L.cols[r]
-            live = left.cols >= 0
-            mid = left.cols[live]
-            cols = np.full(self.basis.dim, -1, dtype=np.intp)
-            vals = np.zeros(self.basis.dim, dtype=complex)
-            cols[live] = right.cols[mid]
-            vals[live] = left.vals[live] * right.vals[mid]
-            return LinearOperator(self.basis, Monomial(cols, vals))
-        return LinearOperator(self.basis, self.matrix @ other.matrix)
+        # (L R)[r] = L[r, c] R[c, R.cols[c]] with c = L.cols[r]
+        live = left.cols >= 0
+        mid = left.cols[live]
+        cols = np.full(self.basis.dim, -1, dtype=np.intp)
+        vals = np.zeros(self.basis.dim, dtype=complex)
+        cols[live] = right.cols[mid]
+        vals[live] = left.vals[live] * right.vals[mid]
+        return LinearOperator(self.basis, Monomial(cols, vals))
 
     def _combine(self, other: "LinearOperator", op: np.ufunc) -> "LinearOperator":
-        """Entrywise ``op`` (add or subtract); monomial when the column maps merge injectively."""
+        """Entrywise ``op`` (add or subtract); ValueError unless the column maps merge injectively."""
         self._check_same_basis(other)
         left, right = self.monomial, other.monomial
-        if left is not None and right is not None:
-            clash = (left.cols >= 0) & (right.cols >= 0) & (left.cols != right.cols)
-            if not clash.any():
-                cols = np.where(left.cols >= 0, left.cols, right.cols)
-                try:
-                    return LinearOperator(self.basis, Monomial(cols, op(left.vals, right.vals)))
-                except ValueError:  # the merged rows share a column
-                    pass
-        return LinearOperator(self.basis, op(self.matrix, other.matrix))
+        if np.any((left.cols >= 0) & (right.cols >= 0) & (left.cols != right.cols)):
+            raise ValueError("sum is not monomial: a row holds two nonzeros")
+        cols = np.where(left.cols >= 0, left.cols, right.cols)
+        return LinearOperator(self.basis, Monomial(cols, op(left.vals, right.vals)))
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         return self._combine(other, np.add)
@@ -306,15 +273,10 @@ class LinearOperator:
         return self._combine(other, np.subtract)
 
     def __neg__(self) -> "LinearOperator":
-        mono = self.monomial
-        if mono is None:
-            return LinearOperator(self.basis, -self.data)
-        return LinearOperator(self.basis, Monomial(mono.cols, -mono.vals))
+        return LinearOperator(self.basis, Monomial(self.monomial.cols, -self.monomial.vals))
 
     def __mul__(self, scalar: complex) -> "LinearOperator":
         mono = self.monomial
-        if mono is None:
-            return LinearOperator(self.basis, self.data * complex(scalar))
         return LinearOperator(self.basis, Monomial(mono.cols, mono.vals * complex(scalar)))
 
     __rmul__ = __mul__
@@ -326,36 +288,6 @@ class LinearOperator:
         for _ in range(k):
             out = out @ self
         return out
-
-    def _max_abs_entry(self) -> float:
-        """Largest entry modulus (0 for the zero operator)."""
-        mono = self.monomial
-        return float(np.max(np.abs(self.data if mono is None else mono.vals)))
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return (self - self.adjoint())._max_abs_entry() <= tol
-
-    def allclose(self, other: "LinearOperator", tol: float = 1e-12) -> bool:
-        return (self - other)._max_abs_entry() <= tol
-
-    def to_json_dict(self) -> dict:
-        """Row-major [re, im] dump for golden-file comparisons."""
-        return {
-            "slots": self.basis.slots,
-            "cap": self.basis.cap,
-            "matrix": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.matrix
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LinearOperator":
-        basis = FockBasis(slots=data["slots"], cap=data["cap"])
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in data["matrix"]],
-            dtype=complex,
-        )
-        return cls(basis, mat)
 
 
 def identity(basis: FockBasis) -> LinearOperator:
@@ -380,15 +312,10 @@ def _require_finite(values: np.ndarray) -> None:
 
 
 def operator_norm(a: LinearOperator) -> float:
-    """Largest singular value of the matrix (largest entry modulus when monomial)."""
-    mono = a.monomial
-    if mono is not None:
-        _require_finite(mono.vals)
-        return a._max_abs_entry()
-    _require_finite(a.data)
-    if a.basis.dim == 1:
-        return float(abs(a.data[0, 0]))
-    return float(np.linalg.norm(a.data, 2))
+    """Largest singular value: the largest entry modulus of a monomial operator."""
+    vals = a.monomial.vals
+    _require_finite(vals)
+    return float(np.max(np.abs(vals)))
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
@@ -405,78 +332,62 @@ def spectral_norm(matrix: np.ndarray) -> float:
 
 
 def psd_sqrt(a: LinearOperator, *, psd_tol: float = 1e-10, clamp_tol: float = 1e-12) -> LinearOperator:
-    """Hermitian PSD square root via eigendecomposition.
+    """PSD square root of a Hermitian monomial operator.
 
-    Eigenvalues below ``-psd_tol`` raise :class:`NotPositiveError`; tiny
-    eigenvalues (below ``clamp_tol``) are clamped to zero before the root.
-    A diagonal input is its own eigendecomposition, so the same checks and
-    the clamp run elementwise on its diagonal.
+    Entries that differ from the conjugate of their mirror entry by more than
+    1e-10 raise :class:`NotPositiveError`.  A Hermitian monomial operator with
+    an off-diagonal entry z holds the 2x2 block ((0, z), (conj z, 0)), whose
+    eigenvalue -|z| is negative, so it raises too.  A diagonal operator is its
+    own eigendecomposition: eigenvalues below ``-psd_tol`` raise, and those
+    below ``clamp_tol`` are clamped to zero before the root.
     """
     mono = a.monomial
-    if mono is not None and np.all((mono.cols < 0) | (mono.cols == np.arange(a.basis.dim))):
-        diag = mono.vals
-        asym = float(np.max(np.abs(diag - diag.conj())))
-        if asym > 1e-10:
-            raise NotPositiveError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
-        eigvals = ((diag + diag.conj()) / 2.0).real
-        low = float(eigvals.min())
-        if low < -psd_tol:
-            raise NotPositiveError(f"matrix has negative eigenvalue {low:.6e}")
-        root = np.sqrt(np.where(eigvals < clamp_tol, 0.0, eigvals))
-        return LinearOperator(a.basis, Monomial(np.arange(a.basis.dim), root))
-    if not a.is_hermitian(tol=1e-10):
-        asym = float(np.max(np.abs(a.matrix - a.matrix.conj().T)))
+    rows = np.arange(a.basis.dim)
+    live = np.flatnonzero(mono.cols >= 0)
+    mirror_col = mono.cols[live]
+    # the entry (c, r) mirroring (r, c), or 0 when row c holds another column
+    mirror = np.where(mono.cols[mirror_col] == live, mono.vals[mirror_col].conj(), 0)
+    asym = float(np.max(np.abs(mono.vals[live] - mirror), initial=0.0))
+    if asym > 1e-10:
         raise NotPositiveError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
-    herm = (a.matrix + a.matrix.conj().T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(herm)
-    low = float(eigvals[0])
+    off = mirror_col != live
+    if off.any():
+        low = -float(np.max(np.abs(mono.vals[live][off])))
+        raise NotPositiveError(f"matrix has negative eigenvalue {low:.6e} (an off-diagonal pair)")
+    eigvals = mono.vals.real
+    low = float(eigvals.min())
     if low < -psd_tol:
         raise NotPositiveError(f"matrix has negative eigenvalue {low:.6e}")
-    clamped = np.where(eigvals < clamp_tol, 0.0, eigvals)
-    root = (eigvecs * np.sqrt(clamped)) @ eigvecs.conj().T
-    root = (root + root.conj().T) / 2.0
-    return LinearOperator(a.basis, root)
+    root = np.sqrt(np.where(eigvals < clamp_tol, 0.0, eigvals))
+    return LinearOperator(a.basis, Monomial(rows, root))
 
 
 def polar_left(a: LinearOperator, rank_tol: float = 1e-8) -> PolarPair:
     """Left polar decomposition A = C @ S with C PSD and S a partial isometry.
 
-    S is assembled from the SVD factors restricted to singular values above
-    ``rank_tol`` relative to the largest one, so its initial space is the
-    closure of range(A*) and its final space is range(A).  The zero operator
-    decomposes as (0, 0).  For a monomial A the singular values are the entry
-    moduli |v|, so C = diag(|v|) row by row and S keeps v/|v| where |v| passes
-    the same relative threshold.
+    The singular values of a monomial A are its entry moduli |v|, so
+    C = diag(|v|) row by row, and S keeps the phase v/|v| of every entry with
+    |v| > ``rank_tol`` * max|v|.  The initial space of S is then the closure
+    of range(A*) and its final space is range(A).  The zero operator
+    decomposes as (0, 0).
     """
     if rank_tol <= 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
     mono = a.monomial
-    if mono is not None:
-        _require_finite(mono.vals)
-        mags = np.abs(mono.vals)
-        smax = float(mags.max())
-        if smax == 0.0:
-            z = zero(a.basis)
-            return PolarPair(isometric_part=z, positive_part=z)
-        keep = mags > rank_tol * smax
-        # real and imaginary parts over |v| separately: a complex division by a
-        # subnormal |v| overflows
-        phases = np.zeros(a.basis.dim, dtype=complex)
-        phases.real[keep] = mono.vals.real[keep] / mags[keep]
-        phases.imag[keep] = mono.vals.imag[keep] / mags[keep]
-        isometric = LinearOperator(a.basis, Monomial(mono.cols, phases))
-        positive = LinearOperator(a.basis, Monomial(np.arange(a.basis.dim), mags))
-        return PolarPair(isometric_part=isometric, positive_part=positive)
-    u, s, vh = np.linalg.svd(a.matrix)
-    smax = float(s[0]) if s.size else 0.0
+    _require_finite(mono.vals)
+    mags = np.abs(mono.vals)
+    smax = float(mags.max())
     if smax == 0.0:
         z = zero(a.basis)
         return PolarPair(isometric_part=z, positive_part=z)
-    keep = s > rank_tol * smax
-    ur = u[:, keep]
-    vhr = vh[keep, :]
-    isometric = LinearOperator(a.basis, ur @ vhr)
-    positive = LinearOperator(a.basis, (u * s) @ u.conj().T)
+    keep = mags > rank_tol * smax
+    # real and imaginary parts over |v| separately: a complex division by a
+    # subnormal |v| overflows
+    phases = np.zeros(a.basis.dim, dtype=complex)
+    phases.real[keep] = mono.vals.real[keep] / mags[keep]
+    phases.imag[keep] = mono.vals.imag[keep] / mags[keep]
+    isometric = LinearOperator(a.basis, Monomial(mono.cols, phases))
+    positive = LinearOperator(a.basis, Monomial(np.arange(a.basis.dim), mags))
     return PolarPair(isometric_part=isometric, positive_part=positive)
 
 
@@ -487,7 +398,8 @@ def core_residual(lhs: LinearOperator, rhs: LinearOperator, degree: int) -> floa
     of that length cannot push a vector with all occupations <= cap - degree
     past the cap, so a true relation gives exactly zero up to float rounding.
     A monomial difference has norm max|v| over the entries in core columns
-    (exactly 0 when there are none).
+    (exactly 0 when there are none).  A difference that is not monomial, which
+    only a false relation produces, is measured on its dense core block.
     """
     lhs._check_same_basis(rhs)
     basis = lhs.basis
@@ -498,10 +410,10 @@ def core_residual(lhs: LinearOperator, rhs: LinearOperator, degree: int) -> floa
             f"relation degree {degree} exceeds cap {basis.cap}; increase the truncation"
         )
     mask = basis.core_mask(basis.cap - degree)
-    diff = lhs - rhs
-    mono = diff.monomial
-    if mono is not None:
-        live = mono.cols >= 0
-        kept = mono.vals[live][mask[mono.cols[live]]]
-        return float(np.max(np.abs(kept), initial=0.0))
-    return spectral_norm(diff.data[:, mask])
+    try:
+        mono = (lhs - rhs).monomial
+    except ValueError:
+        return spectral_norm((lhs.matrix - rhs.matrix)[:, mask])
+    live = mono.cols >= 0
+    kept = mono.vals[live][mask[mono.cols[live]]]
+    return float(np.max(np.abs(kept), initial=0.0))

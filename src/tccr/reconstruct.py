@@ -386,7 +386,9 @@ def roundtrip_check(
     family, take its polar partial isometries, and compare with the input.
     Direction B starts from a deformed family (``a`` if given, otherwise the
     one reconstructed in direction A) and goes the other way around.  The
-    relation sets are re-checked on both intermediate families.
+    relation sets are re-checked on both intermediate families.  Every check
+    is held to ``tolerance``; the precondition gates of both constructions use
+    ``gate_tol``.
     """
     report = VerificationReport(
         command="roundtrip_check",
@@ -400,9 +402,9 @@ def roundtrip_check(
     )
 
     tilde, _ = generators_from_isometries(t, mu, gate_tol=gate_tol)
-    report.extend(tccr_residuals(tilde, tolerance=gate_tol, id_prefix="A/tccr/"))
+    report.extend(tccr_residuals(tilde, tolerance=tolerance, id_prefix="A/tccr/"))
     hats = isometries_from_generators(tilde, rank_tol, gate_tol=gate_tol)
-    report.extend(pi_residuals(hats, tolerance=gate_tol, id_prefix="A/pi/"))
+    report.extend(pi_residuals(hats, tolerance=tolerance, id_prefix="A/pi/"))
     for i in range(1, t.d + 1):
         report.add(
             f"A/recover/t{i}",

@@ -235,16 +235,9 @@ def pi_residuals(t: GeneratorFamily, tolerance: float = MODEL_TOL, id_prefix: st
 
 def qccr_residuals(op: LinearOperator, q: float, tolerance: float = 1e-12) -> VerificationReport:
     """Residual of the one-mode relation for a single generator."""
-
-    class _OneOp:
-        def __init__(self, op: LinearOperator):
-            self.ops = (op,)
-            self.basis = op.basis
-            self.word_cache: dict = {}
-
     params = {"q": q, "cap": op.basis.cap, "tolerance": tolerance}
     return relation_residuals(
-        _OneOp(op),
+        TccrFamily(basis=op.basis, ops=(op,), mu=q),
         qccr_relations(),
         q,
         command="qccr_residuals",

@@ -623,7 +623,12 @@ def eval_and_bridge(p: NcPolynomial, a: "TccrFamily", tol: float = 1e-10) -> Ver
             f"polynomial degree {deg} exceeds cap {a.basis.cap}; vacuum expectation would be truncated"
         )
     exact = vacuum_expectation(p, d).evaluate(a.mu)
-    numeric = complex(evaluate_poly(a, p, a.mu).matrix[0, 0])
+    numeric = 0j
+    for word, coeff in p.terms():
+        mono = evaluate_word(a, word).monomial
+        # entry [0, 0]: row 0 holds its one value in column cols[0]
+        if mono.cols[0] == 0:
+            numeric += coeff.evaluate(a.mu) * mono.vals[0]
     residual = abs(numeric - exact)
     report = VerificationReport(
         command="eval_and_bridge",

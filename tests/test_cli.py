@@ -105,11 +105,6 @@ class TestDeterminism:
         assert run(capsys, "demo", "--out", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_jobs_flag_does_not_change_output(self, capsys):
-        _, serial, _ = run(capsys, "irreps", "--d", "2", "--cap", "5")
-        _, threaded, _ = run(capsys, "irreps", "--d", "2", "--cap", "5", "--jobs", "4")
-        assert serial == threaded
-
 
 class TestSubcommands:
     def test_roundtrip_undeformed_is_exact_throughout(self, capsys):
@@ -117,6 +112,27 @@ class TestSubcommands:
         assert code == 0
         doc = json.loads(out)
         assert all(c["residual"] <= 1e-12 for c in doc["checks"])
+
+    def test_roundtrip_tol_sets_every_tolerance(self, capsys):
+        code, out, _ = run(capsys, "roundtrip", "--d", "2", "--cap", "6", "--tol", "1e-30")
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert len(checks) == 43
+        assert {c["tolerance"] for c in checks} == {1e-30}
+
+    def test_roundtrip_default_keeps_the_pinned_tolerances(self, capsys):
+        code, out, _ = run(capsys, "roundtrip", "--d", "2", "--cap", "6")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["params"]["tol"] is None
+        for c in doc["checks"]:
+            # the roundtrip rows hold 1e-8, the stage suite 1e-10
+            assert c["tolerance"] == (1e-8 if c["id"].startswith(("A/", "B/")) else 1e-10), c["id"]
+
+    def test_jobs_flag_is_gone(self):
+        with pytest.raises(SystemExit) as err:
+            main(["irreps", "--jobs", "2"])
+        assert err.value.code == 2
 
     def test_irreps_covers_all_classes_and_phases(self, capsys):
         code, out, _ = run(capsys, "irreps", "--d", "2", "--cap", "5")

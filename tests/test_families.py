@@ -25,10 +25,6 @@ class TestIrrepSpec:
         with pytest.raises(ValueError):
             IrrepSpec(d=2, class_j=-1, cap=4)
 
-    def test_mu_range(self):
-        with pytest.raises(ValueError):
-            IrrepSpec(d=1, class_j=1, cap=4, mu=1.0)
-
     def test_phase_normalized(self):
         spec = IrrepSpec(d=1, class_j=1, cap=4, phase=2 * math.pi + 1.0)
         assert spec.phase == pytest.approx(1.0)

@@ -16,13 +16,7 @@ from tccr.fock import (
     psd_sqrt,
     zero,
 )
-
-
-def random_operator(basis, rng):
-    mat = rng.standard_normal((basis.dim, basis.dim)) + 1j * rng.standard_normal(
-        (basis.dim, basis.dim)
-    )
-    return LinearOperator(basis, mat)
+from test_monomial import random_monomial
 
 
 class TestEnumerateBasis:
@@ -95,7 +89,7 @@ class TestOperatorNorm:
         rng = np.random.default_rng(7)
         basis = enumerate_basis(2, 3)
         for _ in range(5):
-            a = random_operator(basis, rng)
+            a = random_monomial(basis, rng)
             lhs = operator_norm(a @ a.adjoint())
             assert lhs == pytest.approx(operator_norm(a) ** 2, rel=1e-8)
 
@@ -110,13 +104,13 @@ class TestAdjoint:
     def test_involution_is_bitwise(self):
         rng = np.random.default_rng(3)
         basis = enumerate_basis(2, 4)
-        a = random_operator(basis, rng)
+        a = random_monomial(basis, rng)
         assert np.array_equal(a.adjoint().adjoint().matrix, a.matrix)
 
     def test_reverses_composition(self):
         rng = np.random.default_rng(4)
         basis = enumerate_basis(2, 4)
-        a, b = random_operator(basis, rng), random_operator(basis, rng)
+        a, b = random_monomial(basis, rng), random_monomial(basis, rng)
         lhs = (a @ b).adjoint().matrix
         rhs = (b.adjoint() @ a.adjoint()).matrix
         scale = np.max(np.abs(lhs))
@@ -163,7 +157,7 @@ class TestPsdSqrt:
         rng = np.random.default_rng(11)
         basis = enumerate_basis(2, 3)
         for _ in range(5):
-            x = random_operator(basis, rng)
+            x = random_monomial(basis, rng)
             b = x @ x.adjoint()
             b = (1.0 / operator_norm(b)) * b
             root = psd_sqrt(b @ b)
@@ -196,12 +190,11 @@ class TestPolarLeft:
         assert np.all(pair.positive_part.matrix == 0)
 
     def test_unitary_input(self):
+        # a random phased permutation
         rng = np.random.default_rng(5)
         basis = enumerate_basis(1, 5)
-        q, _ = np.linalg.qr(
-            rng.standard_normal((basis.dim, basis.dim))
-            + 1j * rng.standard_normal((basis.dim, basis.dim))
-        )
+        q = np.zeros((basis.dim, basis.dim), dtype=complex)
+        q[np.arange(basis.dim), rng.permutation(basis.dim)] = np.exp(2j * np.pi * rng.random(basis.dim))
         u = LinearOperator(basis, q)
         pair = polar_left(u)
         assert np.max(np.abs(pair.isometric_part.matrix - q)) <= 1e-12
@@ -219,7 +212,7 @@ class TestPolarLeft:
         rng = np.random.default_rng(hash(dim_spec) % 2**32)
         basis = enumerate_basis(slots, cap)
         for _ in range(50):
-            a = random_operator(basis, rng)
+            a = random_monomial(basis, rng)
             pair = polar_left(a)
             rebuilt = pair.positive_part @ pair.isometric_part
             assert operator_norm(rebuilt - a) <= 1e-10 * max(operator_norm(a), 1.0)
@@ -227,14 +220,14 @@ class TestPolarLeft:
     def test_partial_isometry_contract(self):
         rng = np.random.default_rng(13)
         basis = enumerate_basis(1, 6)
-        a = random_operator(basis, rng)
+        a = random_monomial(basis, rng)
         s = polar_left(a).isometric_part
         assert operator_norm(s @ s.adjoint() @ s - s) <= 1e-10
 
     def test_positive_part_is_root_of_range_gram(self):
         rng = np.random.default_rng(17)
         basis = enumerate_basis(1, 6)
-        a = random_operator(basis, rng)
+        a = random_monomial(basis, rng)
         pair = polar_left(a)
         c2 = pair.positive_part @ pair.positive_part
         assert operator_norm(c2 - a @ a.adjoint()) <= 1e-9 * operator_norm(a) ** 2
@@ -271,25 +264,3 @@ class TestCoreResidual:
         assert operator_norm(gap) == pytest.approx(1.0, abs=1e-12)
         assert core_residual(t.adjoint() @ t, identity(fam.basis), 2) <= 1e-14
 
-
-class TestSerialization:
-    def test_json_dump_roundtrip_is_exact(self):
-        rng = np.random.default_rng(23)
-        basis = enumerate_basis(1, 3)
-        a = random_operator(basis, rng)
-        back = LinearOperator.from_json_dict(a.to_json_dict())
-        assert np.array_equal(back.matrix, a.matrix)
-        assert back.basis == a.basis
-
-    def test_json_dump_golden_shift(self):
-        from tccr.families import shift_matrix
-
-        op = LinearOperator(enumerate_basis(1, 1), shift_matrix(1))
-        assert op.to_json_dict() == {
-            "slots": 1,
-            "cap": 1,
-            "matrix": [
-                [[0.0, 0.0], [0.0, 0.0]],
-                [[1.0, 0.0], [0.0, 0.0]],
-            ],
-        }

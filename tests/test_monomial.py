@@ -98,25 +98,29 @@ class TestStorageForm:
     def test_stage_calculus_stays_monomial(self, d, cap, class_j, phase):
         _, ops = pool(d, cap, class_j, phase)
         for op in ops:
-            assert op.monomial is not None
             assert is_monomial_matrix(op.matrix)
             again = LinearOperator(op.basis, op.matrix)
-            assert again.monomial is not None
+            assert np.array_equal(again.monomial.cols, op.monomial.cols)
             assert np.array_equal(again.matrix, op.matrix)
 
-    def test_dense_input_with_two_nonzeros_in_a_row_or_column_stays_dense(self):
+    def test_dense_input_with_two_nonzeros_in_a_line_is_rejected(self):
         basis = enumerate_basis(1, 2)
         row = np.zeros((3, 3), dtype=complex)
         row[0, 0] = row[0, 2] = 1.0
-        assert LinearOperator(basis, row).monomial is None
-        assert LinearOperator(basis, row.T).monomial is None
-        assert np.array_equal(LinearOperator(basis, row).matrix, row)
+        for mat in (row, row.T):
+            with pytest.raises(ValueError, match="not monomial"):
+                LinearOperator(basis, mat)
+
+    def test_random_dense_matrix_is_rejected(self):
+        rng = np.random.default_rng(1)
+        basis = enumerate_basis(2, 4)
+        with pytest.raises(ValueError, match="not monomial"):
+            LinearOperator(basis, rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25)))
 
     def test_exact_zeros_are_dropped(self):
         basis = enumerate_basis(2, 3)
         one = identity(basis)
         for empty in (0.0 * one, one - one, zero(basis), -zero(basis)):
-            assert empty.monomial is not None
             assert np.all(empty.monomial.cols == -1)
             assert np.all(empty.monomial.vals == 0)
             assert np.all(empty.matrix == 0)
@@ -146,19 +150,7 @@ class TestArithmetic:
             assert np.array_equal((-x).matrix, -x.matrix)
             assert np.array_equal(((0.5 - 2j) * x).matrix, x.matrix * (0.5 - 2j))
         for x, y in itertools.product(ops[:12], ops):
-            product = x @ y
-            assert product.monomial is not None
-            assert gap(product.matrix, x.matrix @ y.matrix) <= 1e-14
-
-    def test_mixed_products_take_the_dense_form(self):
-        rng = np.random.default_rng(1)
-        fam = build_fock_tccr(2, MU, 4)
-        dense = LinearOperator(fam.basis, rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25)))
-        assert dense.monomial is None
-        for a in fam.ops + tuple(op.adjoint() for op in fam.ops):
-            assert gap((a @ dense).matrix, a.matrix @ dense.matrix) <= 1e-13
-            assert gap((dense @ a).matrix, dense.matrix @ a.matrix) <= 1e-13
-            assert gap((a + dense).matrix, a.matrix + dense.matrix) == 0.0
+            assert gap((x @ y).matrix, x.matrix @ y.matrix) <= 1e-14
 
     def test_sums_with_compatible_column_maps_stay_monomial(self):
         fam = build_irrep(IrrepSpec(d=2, class_j=2, cap=5))
@@ -171,20 +163,19 @@ class TestArithmetic:
         ]
         for x, y in cases:
             for got, want in ((x + y, x.matrix + y.matrix), (x - y, x.matrix - y.matrix)):
-                assert got.monomial is not None
                 assert np.array_equal(got.matrix, want)
 
-    def test_sums_with_clashing_column_maps_fall_back_to_dense(self):
+    def test_sums_with_clashing_column_maps_are_rejected(self):
         fam = build_irrep(IrrepSpec(d=2, class_j=2, cap=5))
         t1, t2 = fam.ops
         cases = [
-            (t1, t1.adjoint()),  # one row holds two different columns
-            (t1, t2),  # two rows land in one column
+            (t1, t1.adjoint(), "a row holds two nonzeros"),
+            (t1, t2, "share a column"),  # two rows land in one column
         ]
-        for x, y in cases:
-            for got, want in ((x + y, x.matrix + y.matrix), (x - y, x.matrix - y.matrix)):
-                assert got.monomial is None
-                assert np.array_equal(got.matrix, want)
+        for x, y, message in cases:
+            for combine in (x.__add__, x.__sub__):
+                with pytest.raises(ValueError, match=message):
+                    combine(y)
 
 
 class TestDecompositions:
@@ -197,8 +188,6 @@ class TestDecompositions:
             pair = polar_left(op)
             iso, pos, spread = ref_polar(op.matrix)
             scale = max(operator_norm(op), 1.0)
-            assert pair.isometric_part.monomial is not None
-            assert pair.positive_part.monomial is not None
             assert gap(pair.isometric_part.matrix, iso) <= 1e-13 * spread
             assert gap(pair.positive_part.matrix, pos) <= 1e-12 * scale
 
@@ -214,7 +203,6 @@ class TestDecompositions:
         for t in fam.ops:
             for square in (positive_part_squared(t, MU), t @ t.adjoint()):
                 root = psd_sqrt(square)
-                assert root.monomial is not None
                 assert gap(root.matrix, ref_psd_sqrt(square.matrix)) <= 1e-12
 
     def test_psd_sqrt_diagonal_errors_and_clamp(self):
@@ -227,6 +215,18 @@ class TestDecompositions:
         root = psd_sqrt(LinearOperator(basis, wobble))
         assert np.array_equal(root.matrix, np.diag([2.0, 0.0, 0.0]).astype(complex))
         assert gap(root.matrix, ref_psd_sqrt(wobble.astype(complex))) <= 1e-15
+
+    def test_psd_sqrt_of_non_diagonal_monomials_raises(self):
+        basis = enumerate_basis(1, 2)
+        cycle = LinearOperator(basis, Monomial(np.array([1, 2, 0]), np.ones(3)))
+        with pytest.raises(NotPositiveError, match="Hermitian"):
+            psd_sqrt(cycle)
+        # a Hermitian swap holds the block ((0, z), (conj z, 0)) with eigenvalue -|z|
+        z = 0.6 - 0.8j
+        swap = LinearOperator(basis, Monomial(np.array([1, 0, 2]), np.array([z, z.conjugate(), 2.0])))
+        assert np.linalg.eigvalsh(swap.matrix)[0] == pytest.approx(-1.0, abs=1e-15)
+        with pytest.raises(NotPositiveError, match="negative eigenvalue -1.0"):
+            psd_sqrt(swap)
 
     @pytest.mark.parametrize("d,cap,class_j,phase", all_pools())
     def test_norms_and_core_residuals_match_dense(self, d, cap, class_j, phase):
@@ -253,7 +253,8 @@ class TestDecompositions:
         fam = build_irrep(IrrepSpec(d=2, class_j=2, cap=5))
         t1 = fam.ops[0]
         got = core_residual(t1, t1.adjoint(), 1)
-        assert (t1 - t1.adjoint()).monomial is None
+        with pytest.raises(ValueError, match="not monomial"):
+            t1 - t1.adjoint()
         assert got == pytest.approx(ref_core_residual(t1.matrix, t1.adjoint().matrix, fam.basis, 1), abs=1e-13)
 
 
@@ -280,7 +281,6 @@ def test_random_words_match_the_dense_path(d, cap, mu, class_seed, phase, word):
             if starred:
                 letter = letter.adjoint()
             op, ref = op @ letter, ref @ letter.matrix
-        assert op.monomial is not None
         assert gap(op.matrix, ref) <= 1e-13
         assert operator_norm(op) == pytest.approx(np.linalg.norm(ref, 2), abs=1e-12)
         # a singular value within rounding of the rank cut may land on either side of it

@@ -84,18 +84,17 @@ class TestTccrResiduals:
         assert diag2.residual > 0.1
 
     def test_randomly_corrupted_generator_fails_loudly(self):
-        import numpy as np
-
-        from tccr.fock import LinearOperator
+        from tccr.fock import LinearOperator, Monomial
 
         rng = np.random.default_rng(31)
         fam = build_fock_tccr(2, 0.5, 6)
+        a2 = fam.ops[1].monomial
         for _ in range(5):
-            noise = rng.standard_normal(2 * (fam.basis.dim,)) + 1j * rng.standard_normal(
-                2 * (fam.basis.dim,)
-            )
-            noise *= 0.5 / np.linalg.norm(noise, 2)
-            bumped = LinearOperator(fam.basis, fam.ops[1].matrix + noise)
+            # noise of max modulus 0.5 on the values of a2's own support
+            noise = rng.standard_normal(fam.basis.dim) + 1j * rng.standard_normal(fam.basis.dim)
+            noise = np.where(a2.cols >= 0, noise, 0)
+            noise *= 0.5 / np.max(np.abs(noise))
+            bumped = LinearOperator(fam.basis, Monomial(a2.cols, a2.vals + noise))
             report = tccr_residuals(
                 TccrFamily(basis=fam.basis, ops=(fam.ops[0], bumped), mu=0.5)
             )
