@@ -103,7 +103,10 @@ def _phase(text: str) -> float:
 
 
 def _phase_list(text: str) -> list[float]:
-    return [_phase(part) for part in text.split(",") if part.strip()]
+    phases = [_phase(part) for part in text.split(",") if part.strip()]
+    if not phases:
+        raise argparse.ArgumentTypeError(f"phase list {text!r} names no phase")
+    return phases
 
 
 def build_parser() -> argparse.ArgumentParser:

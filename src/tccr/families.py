@@ -66,10 +66,6 @@ class IrrepSpec:
     def slots(self) -> int:
         return max(self.class_j, 1)
 
-    @property
-    def is_fock(self) -> bool:
-        return self.class_j == self.d
-
 
 @dataclass(frozen=True, eq=False)
 class GeneratorFamily:
@@ -113,9 +109,9 @@ def defect_matrix(cap: int) -> np.ndarray:
     return np.eye(cap + 1, dtype=complex) - s @ s.conj().T
 
 
-def build_irrep(spec: IrrepSpec, *, dim_limit: int | None = None) -> GeneratorFamily:
+def build_irrep(spec: IrrepSpec) -> GeneratorFamily:
     """Build one family from the catalog on ``max(class_j, 1)`` slots."""
-    basis = enumerate_basis(spec.slots, spec.cap, dim_limit=dim_limit)
+    basis = enumerate_basis(spec.slots, spec.cap)
     occ = basis.occupations()
     rows = np.arange(basis.dim)
     j = spec.class_j
@@ -147,7 +143,7 @@ def geometric_sum(x: float, terms: int) -> float:
     return total
 
 
-def build_fock_tccr(d: int, mu: float, cap: int, *, dim_limit: int | None = None) -> TccrFamily:
+def build_fock_tccr(d: int, mu: float, cap: int) -> TccrFamily:
     """Vacuum-cyclic deformed generators as weighted lattice raises.
 
     a_i sends the state (n_1, .., n_d) to mu^(n_1+..+n_{i-1}) * w(n_i) times
@@ -159,7 +155,7 @@ def build_fock_tccr(d: int, mu: float, cap: int, *, dim_limit: int | None = None
         raise ValueError(f"d must be >= 1, got {d}")
     if not abs(mu) < 1:
         raise ValueError(f"|mu| must be < 1, got {mu}")
-    basis = enumerate_basis(d, cap, dim_limit=dim_limit)
+    basis = enumerate_basis(d, cap)
     weights = np.array([math.sqrt(geometric_sum(mu * mu, n + 1)) for n in range(cap)])
     mu_powers = np.array([float(mu) ** n for n in range(cap + 1)])
     occ = basis.occupations()
@@ -177,10 +173,10 @@ def build_fock_tccr(d: int, mu: float, cap: int, *, dim_limit: int | None = None
     return TccrFamily(basis=basis, ops=tuple(ops), mu=float(mu))
 
 
-def build_qccr_single(q: float, cap: int, *, dim_limit: int | None = None) -> LinearOperator:
+def build_qccr_single(q: float, cap: int) -> LinearOperator:
     """One-mode generator with a* a = 1 + q a a* below the cap, |q| < 1."""
     if not abs(q) < 1:
         raise ValueError(f"|q| must be < 1, got {q}")
-    basis = enumerate_basis(1, cap, dim_limit=dim_limit)
+    basis = enumerate_basis(1, cap)
     vals = [0.0] + [math.sqrt(geometric_sum(q, n + 1)) for n in range(cap)]
     return LinearOperator(basis, Monomial(np.arange(-1, cap), np.array(vals)))

@@ -47,6 +47,9 @@ __all__ = [
 
 DEFAULT_DIM_LIMIT = 20000
 DIM_LIMIT_ENV = "TCCR_DIM_LIMIT"
+# psd_sqrt: eigenvalues below -PSD_TOL raise, those below CLAMP_TOL become 0
+PSD_TOL = 1e-10
+CLAMP_TOL = 1e-12
 
 MultiIndex = tuple[int, ...]
 
@@ -135,11 +138,11 @@ class FockBasis:
         return (self.occupations() <= level).all(axis=1)
 
 
-def enumerate_basis(slots: int, cap: int, *, dim_limit: int | None = None) -> FockBasis:
+def enumerate_basis(slots: int, cap: int) -> FockBasis:
     """Build a basis, enforcing the capacity limit (env ``TCCR_DIM_LIMIT`` overrides)."""
     if slots < 1 or cap < 1:
         raise ValueError(f"slots and cap must be >= 1, got slots={slots}, cap={cap}")
-    limit = _dim_limit() if dim_limit is None else dim_limit
+    limit = _dim_limit()
     dim = (cap + 1) ** slots
     if dim > limit:
         raise CapacityError(
@@ -331,15 +334,15 @@ def spectral_norm(matrix: np.ndarray) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def psd_sqrt(a: LinearOperator, *, psd_tol: float = 1e-10, clamp_tol: float = 1e-12) -> LinearOperator:
+def psd_sqrt(a: LinearOperator) -> LinearOperator:
     """PSD square root of a Hermitian monomial operator.
 
     Entries that differ from the conjugate of their mirror entry by more than
     1e-10 raise :class:`NotPositiveError`.  A Hermitian monomial operator with
     an off-diagonal entry z holds the 2x2 block ((0, z), (conj z, 0)), whose
     eigenvalue -|z| is negative, so it raises too.  A diagonal operator is its
-    own eigendecomposition: eigenvalues below ``-psd_tol`` raise, and those
-    below ``clamp_tol`` are clamped to zero before the root.
+    own eigendecomposition: eigenvalues below ``-PSD_TOL`` raise, and those
+    below ``CLAMP_TOL`` are clamped to zero before the root.
     """
     mono = a.monomial
     rows = np.arange(a.basis.dim)
@@ -356,9 +359,9 @@ def psd_sqrt(a: LinearOperator, *, psd_tol: float = 1e-10, clamp_tol: float = 1e
         raise NotPositiveError(f"matrix has negative eigenvalue {low:.6e} (an off-diagonal pair)")
     eigvals = mono.vals.real
     low = float(eigvals.min())
-    if low < -psd_tol:
+    if low < -PSD_TOL:
         raise NotPositiveError(f"matrix has negative eigenvalue {low:.6e}")
-    root = np.sqrt(np.where(eigvals < clamp_tol, 0.0, eigvals))
+    root = np.sqrt(np.where(eigvals < CLAMP_TOL, 0.0, eigvals))
     return LinearOperator(a.basis, Monomial(rows, root))
 
 

@@ -5,15 +5,18 @@ polar decomposition and cut it down by the ranges already used,
 
     v_1 = S_1,    v_i = (1 - sum_{k<i} v_k v_k*) S_i.
 
-From partial isometries ``t_i``: build the weighted stages
+From partial isometries ``t_i``: build the weighted stages from one
+conjugation series, C(t, X, r) = sum_{n>=0} r^n t^n X t*^n,
 
-    stage(i, i) = T_i t_i,          T_i^2 = sum_{n>=1} mu^(2(n-1)) t_i^n t_i*^n,
-    stage(i, j) = sum_{n>=0} mu^n t_j^n stage(i, j+1) t_j*^n,   j = i-1, .., 1,
+    stage(i, i) = T_i t_i,          T_i^2 = C(t_i, t_i t_i*, mu^2),
+    stage(i, j) = C(t_j, stage(i, j+1), mu),   j = i-1, .., 1,
 
-and read off the deformed generators as stage(i, 1).  On a truncated basis
-the shift-type generators are nilpotent, so their series terminate at the
-cap; generators whose powers stabilize instead (the phase-class ones) get
-their geometric tail summed in closed form, which keeps both series exact.
+and read off the deformed generators as stage(i, 1).  The series sums its
+terms up to n = cap and adds the rest in closed form, which is exact when
+the term t^n X t*^n no longer changes from n = cap + 1 on.  On a truncated
+basis that holds for both kinds of generator: shift-type ones are nilpotent,
+so the term vanishes, and phase-class ones have stable powers, so the term
+is fixed and its tail is a geometric scalar.
 
 ``verify_stage_identities`` re-derives every auxiliary identity of the
 stage calculus as a named residual check, and ``roundtrip_check`` verifies that
@@ -79,80 +82,50 @@ class ReconstructionTrace:
     defects: tuple[LinearOperator, ...]
 
 
-def _powers(op: LinearOperator, upto: int) -> list[LinearOperator]:
-    out = [identity(op.basis)]
-    for _ in range(upto):
-        out.append(out[-1] @ op)
-    return out
+def weighted_range_series(t: LinearOperator, ratio: float) -> LinearOperator:
+    """sum_{n>=1} ratio^(n-1) t^n t*^n: the conjugation series of t t* with ratio ``ratio``.
 
-
-def weighted_range_series(
-    t: LinearOperator, ratio: float, powers: list[LinearOperator] | None = None
-) -> LinearOperator:
-    """sum_{n>=1} ratio^(n-1) t^n t*^n, with the tail beyond the cap in closed form.
-
-    Powers of shift-type generators vanish past the cap, making the tail zero;
-    powers of phase-class generators stabilize, making the tail a geometric
-    scalar series on the stable range projection.  Both cases give the exact
-    operator limit.
+    Its closed-form tail is exact when t^n t*^n is constant from n = cap + 2 on.
     """
-    if not abs(ratio) < 1:
-        raise ValueError(f"|ratio| must be < 1, got {ratio}")
-    cap = t.basis.cap
-    if powers is None:
-        powers = _powers(t, cap + 1)
-    total = powers[1] @ powers[1].adjoint()
-    factor = 1.0
-    for n in range(2, cap + 1):
-        factor *= ratio
-        total = total + factor * (powers[n] @ powers[n].adjoint())
-    tail = ratio**cap / (1.0 - ratio)
-    total = total + tail * (powers[cap + 1] @ powers[cap + 1].adjoint())
-    return total
+    return conjugation_series(t, t @ t.adjoint(), ratio)
 
 
-def positive_part_squared(
-    t: LinearOperator, mu: float, powers: list[LinearOperator] | None = None
-) -> LinearOperator:
+def positive_part_squared(t: LinearOperator, mu: float) -> LinearOperator:
     """sum_{n>=1} mu^(2(n-1)) t^n t*^n: the squared positive factor of a stage."""
+    return weighted_range_series(t, mu * mu)
+
+
+def conjugation_series(t: LinearOperator, inner: LinearOperator, mu: float) -> LinearOperator:
+    """sum_{n>=0} mu^n t^n inner t*^n, with the tail beyond the cap in closed form.
+
+    The terms n <= cap are summed directly.  The tail assumes that t^n inner
+    t*^n no longer changes from n = cap + 1 on: it vanishes for a shift-type
+    t, which is nilpotent on the truncated basis, and it is fixed for a
+    phase-class t, whose powers stabilize.  The tail is then the geometric
+    scalar mu^(cap+1) / (1 - mu) times that term, the exact operator limit.
+    Both need |mu| < 1.
+    """
     if not abs(mu) < 1:
         raise ValueError(f"|mu| must be < 1, got {mu}")
-    return weighted_range_series(t, mu * mu, powers)
-
-
-def conjugation_series(
-    t: LinearOperator,
-    inner: LinearOperator,
-    mu: float,
-    powers: list[LinearOperator] | None = None,
-) -> LinearOperator:
-    """sum_{n>=0} mu^n t^n inner t*^n, tail beyond the cap summed as above."""
-    cap = t.basis.cap
-    if powers is None:
-        powers = _powers(t, cap + 1)
-    total = inner
+    t_star = t.adjoint()
+    total = term = inner
     factor = 1.0
-    for n in range(1, cap + 1):
+    for _ in range(t.basis.cap):
+        term = t @ term @ t_star
         factor *= mu
-        total = total + factor * (powers[n] @ inner @ powers[n].adjoint())
-    tail = mu ** (cap + 1) / (1.0 - mu)
-    total = total + tail * (powers[cap + 1] @ inner @ powers[cap + 1].adjoint())
-    return total
+        total = total + factor * term
+    tail = mu ** (t.basis.cap + 1) / (1.0 - mu)
+    return total + tail * (t @ term @ t_star)
 
 
-def isometries_from_generators(
-    a: TccrFamily,
-    rank_tol: float = 1e-8,
-    *,
-    gate_tol: float = DERIVED_TOL,
-) -> GeneratorFamily:
+def isometries_from_generators(a: TccrFamily, rank_tol: float = 1e-8) -> GeneratorFamily:
     """Partial isometries from deformed generators via polar decomposition.
 
-    The input must satisfy the deformed relations within ``gate_tol`` on the
-    core; the output satisfies the partial-isometry relations to the same
+    The input must satisfy the deformed relations within ``DERIVED_TOL`` on
+    the core; the output satisfies the partial-isometry relations to the same
     accuracy.
     """
-    gate = tccr_residuals(a, tolerance=gate_tol)
+    gate = tccr_residuals(a, tolerance=DERIVED_TOL)
     if not gate.all_passed:
         raise PreconditionError("input family violates the deformed relations", gate)
     one = identity(a.basis)
@@ -170,26 +143,17 @@ def isometries_from_generators(
     return GeneratorFamily(basis=a.basis, ops=tuple(hats), spec=None)
 
 
-def generators_from_isometries(
-    t: GeneratorFamily,
-    mu: float,
-    *,
-    gate_tol: float = DERIVED_TOL,
-) -> tuple[TccrFamily, ReconstructionTrace]:
+def generators_from_isometries(t: GeneratorFamily, mu: float) -> tuple[TccrFamily, ReconstructionTrace]:
     """Deformed generators from partial isometries via the weighted stage series."""
     if not abs(mu) < 1:
         raise ValueError(f"|mu| must be < 1, got {mu}")
-    gate = pi_residuals(t, tolerance=gate_tol)
+    gate = pi_residuals(t, tolerance=DERIVED_TOL)
     if not gate.all_passed:
         raise PreconditionError("input family violates the partial-isometry relations", gate)
 
     d = t.d
     one = identity(t.basis)
-    all_powers = [_powers(op, t.basis.cap + 1) for op in t.ops]
-    positive_parts = tuple(
-        psd_sqrt(positive_part_squared(op, mu, all_powers[i]))
-        for i, op in enumerate(t.ops)
-    )
+    positive_parts = tuple(psd_sqrt(positive_part_squared(op, mu)) for op in t.ops)
 
     defects = [one]
     acc = one
@@ -201,9 +165,7 @@ def generators_from_isometries(
     for i in range(1, d + 1):
         stages[(i, i)] = positive_parts[i - 1] @ t.ops[i - 1]
         for j in range(i - 1, 0, -1):
-            stages[(i, j)] = conjugation_series(
-                t.ops[j - 1], stages[(i, j + 1)], mu, all_powers[j - 1]
-            )
+            stages[(i, j)] = conjugation_series(t.ops[j - 1], stages[(i, j + 1)], mu)
 
     ops = tuple(stages[(i, 1)] for i in range(1, d + 1))
     trace = ReconstructionTrace(
@@ -217,7 +179,6 @@ def verify_stage_identities(
     mu: float,
     *,
     tolerance: float = MODEL_TOL,
-    gate_tol: float = DERIVED_TOL,
     max_power: int = 3,
 ) -> VerificationReport:
     """Every identity of the stage calculus as a named residual check.
@@ -232,7 +193,7 @@ def verify_stage_identities(
         raise TruncationError(
             f"power identities up to {max_power} need cap >= {2 * max_power}, got {t.basis.cap}"
         )
-    family, trace = generators_from_isometries(t, mu, gate_tol=gate_tol)
+    family, trace = generators_from_isometries(t, mu)
     d = t.d
     stages = trace.stages
     defects = trace.defects
@@ -294,7 +255,7 @@ def verify_stage_identities(
 
     # t_j*^n t_j^m power identities
     for j in range(1, d + 1):
-        powers = _powers(t.ops[j - 1], max_power)
+        powers = [t.ops[j - 1].power(n) for n in range(max_power + 1)]
         star_powers = [p.adjoint() for p in powers]
         for n in range(1, max_power + 1):
             for m in range(1, max_power + 1):
@@ -378,7 +339,6 @@ def roundtrip_check(
     *,
     a: TccrFamily | None = None,
     tolerance: float = DERIVED_TOL,
-    gate_tol: float = DERIVED_TOL,
 ) -> VerificationReport:
     """Both composition orders of the two constructions.
 
@@ -388,7 +348,7 @@ def roundtrip_check(
     one reconstructed in direction A) and goes the other way around.  The
     relation sets are re-checked on both intermediate families.  Every check
     is held to ``tolerance``; the precondition gates of both constructions use
-    ``gate_tol``.
+    ``DERIVED_TOL``.
     """
     report = VerificationReport(
         command="roundtrip_check",
@@ -401,9 +361,9 @@ def roundtrip_check(
         },
     )
 
-    tilde, _ = generators_from_isometries(t, mu, gate_tol=gate_tol)
+    tilde, _ = generators_from_isometries(t, mu)
     report.extend(tccr_residuals(tilde, tolerance=tolerance, id_prefix="A/tccr/"))
-    hats = isometries_from_generators(tilde, rank_tol, gate_tol=gate_tol)
+    hats = isometries_from_generators(tilde, rank_tol)
     report.extend(pi_residuals(hats, tolerance=tolerance, id_prefix="A/pi/"))
     for i in range(1, t.d + 1):
         report.add(
@@ -414,8 +374,8 @@ def roundtrip_check(
         )
 
     start = a if a is not None else tilde
-    hats_b = isometries_from_generators(start, rank_tol, gate_tol=gate_tol)
-    tilde_b, _ = generators_from_isometries(hats_b, start.mu, gate_tol=gate_tol)
+    hats_b = isometries_from_generators(start, rank_tol)
+    tilde_b, _ = generators_from_isometries(hats_b, start.mu)
     for i in range(1, t.d + 1):
         report.add(
             f"B/recover/a{i}",

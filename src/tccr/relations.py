@@ -72,14 +72,11 @@ class Relation:
     label: str
     lhs: NcPolynomial
     rhs: NcPolynomial
-    degree: int
 
-    def __post_init__(self) -> None:
-        expected = max(self.lhs.degree(), self.rhs.degree())
-        if self.degree != expected:
-            raise ValueError(
-                f"relation {self.label}: degree {self.degree} != longest word {expected}"
-            )
+    @property
+    def degree(self) -> int:
+        """Length of the longest word on either side."""
+        return max(self.lhs.degree(), self.rhs.degree())
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,7 @@ class RelationSet:
 
     def adjoint(self) -> "RelationSet":
         flipped = tuple(
-            Relation(r.label + "/adj", r.lhs.adjoint(), r.rhs.adjoint(), r.degree)
+            Relation(r.label + "/adj", r.lhs.adjoint(), r.rhs.adjoint())
             for r in self.relations
         )
         return RelationSet(kind=self.kind + "/adj", relations=flipped)
@@ -116,7 +113,7 @@ def tccr_relations(d: int) -> RelationSet:
         rhs = NcPolynomial.one() + _pair(gen(i), gen_star(i)) * mu2
         for k in range(1, i):
             rhs = rhs - _pair(gen(k), gen_star(k)) * one_minus_mu2
-        rels.append(Relation(f"diag/i{i}", _pair(gen_star(i), gen(i)), rhs, 2))
+        rels.append(Relation(f"diag/i{i}", _pair(gen_star(i), gen(i)), rhs))
     for i in range(1, d + 1):
         for j in range(1, d + 1):
             if i == j:
@@ -126,7 +123,6 @@ def tccr_relations(d: int) -> RelationSet:
                     f"twist/i{i}j{j}",
                     _pair(gen_star(i), gen(j)),
                     _pair(gen(j), gen_star(i)) * mu,
-                    2,
                 )
             )
     for j in range(2, d + 1):
@@ -136,7 +132,6 @@ def tccr_relations(d: int) -> RelationSet:
                     f"order/j{j}i{i}",
                     _pair(gen(j), gen(i)),
                     _pair(gen(i), gen(j)) * mu,
-                    2,
                 )
             )
     return RelationSet(kind=f"TCCR(mu,{d})", relations=tuple(rels))
@@ -151,18 +146,18 @@ def pi_relations(d: int) -> RelationSet:
         rhs = NcPolynomial.one()
         for k in range(1, i):
             rhs = rhs - _pair(gen(k), gen_star(k))
-        rels.append(Relation(f"diag/i{i}", _pair(gen_star(i), gen(i)), rhs, 2))
+        rels.append(Relation(f"diag/i{i}", _pair(gen_star(i), gen(i)), rhs))
     for i in range(1, d + 1):
         for j in range(1, d + 1):
             if i == j:
                 continue
             rels.append(
-                Relation(f"cross/i{i}j{j}", _pair(gen_star(i), gen(j)), NcPolynomial.zero(), 2)
+                Relation(f"cross/i{i}j{j}", _pair(gen_star(i), gen(j)), NcPolynomial.zero())
             )
     for j in range(2, d + 1):
         for i in range(1, j):
             rels.append(
-                Relation(f"order/j{j}i{i}", _pair(gen(j), gen(i)), NcPolynomial.zero(), 2)
+                Relation(f"order/j{j}i{i}", _pair(gen(j), gen(i)), NcPolynomial.zero())
             )
     return RelationSet(kind=f"PI({d})", relations=tuple(rels))
 
@@ -172,7 +167,7 @@ def qccr_relations() -> RelationSet:
     rhs = NcPolynomial.one() + _pair(gen(1), gen_star(1)) * MuPoly.mu(1)
     return RelationSet(
         kind="QCCR(q)",
-        relations=(Relation("diag/i1", _pair(gen_star(1), gen(1)), rhs, 2),),
+        relations=(Relation("diag/i1", _pair(gen_star(1), gen(1)), rhs),),
     )
 
 

@@ -132,10 +132,6 @@ class MuPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    @property
-    def is_one(self) -> bool:
-        return self._coeffs == {0: Fraction(1)}
-
     def degree(self) -> int:
         return max(self._coeffs, default=0)
 
@@ -230,10 +226,6 @@ class NcPolynomial:
     @classmethod
     def generator(cls, i: int) -> "NcPolynomial":
         return cls.from_word((gen(i),))
-
-    @classmethod
-    def generator_star(cls, i: int) -> "NcPolynomial":
-        return cls.from_word((gen_star(i),))
 
     def terms(self) -> list[tuple[Word, MuPoly]]:
         return sorted(self._terms.items(), key=lambda kv: _word_key(kv[0]))
@@ -441,13 +433,7 @@ def gram_basis_words(level: int, d: int) -> list[Word]:
     return words
 
 
-def gram_matrix(
-    level: int,
-    d: int,
-    *,
-    max_level: int = GRAM_MAX_LEVEL,
-    max_d: int = GRAM_MAX_D,
-) -> tuple[list[Word], list[list[MuPoly]]]:
+def gram_matrix(level: int, d: int) -> tuple[list[Word], list[list[MuPoly]]]:
     """Exact matrix of vacuum pairings <w Omega, v Omega> over the word basis.
 
     Entry (v, w) is the vacuum functional of adjoint(w) v; with rational
@@ -456,9 +442,9 @@ def gram_matrix(
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    if level > max_level or d > max_d:
+    if level > GRAM_MAX_LEVEL or d > GRAM_MAX_D:
         raise CapacityError(
-            f"gram matrix bounds exceeded: level {level} > {max_level} or d {d} > {max_d}"
+            f"gram matrix bounds exceeded: level {level} > {GRAM_MAX_LEVEL} or d {d} > {GRAM_MAX_D}"
         )
     words = gram_basis_words(level, d)
     n = len(words)
@@ -653,9 +639,9 @@ def random_word(d: int, max_len: int, rng: random.Random, min_len: int = 1) -> W
     return tuple(Letter(rng.randint(1, d), rng.random() < 0.5) for _ in range(length))
 
 
-def random_polynomial(d: int, max_degree: int, rng: random.Random, max_terms: int = 4) -> NcPolynomial:
+def random_polynomial(d: int, max_degree: int, rng: random.Random) -> NcPolynomial:
     out = NcPolynomial.zero()
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 4)):
         word = random_word(d, max_degree, rng, min_len=0)
         num = rng.choice([-3, -2, -1, 1, 2, 3])
         den = rng.randint(1, 3)

@@ -61,6 +61,13 @@ class TestExitCodes:
         assert err.value.code == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phases", ["", ","])
+    def test_empty_phase_list_is_two(self, capsys, phases):
+        with pytest.raises(SystemExit) as err:
+            main(["irreps", "--phases", phases])
+        assert err.value.code == 2
+        assert "names no phase" in capsys.readouterr().err
+
     def test_unwritable_output_is_two(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"
         code, _, err = run(capsys, "qccr", "--q", "0.3", "--cap", "6", "--out", str(target))

@@ -60,9 +60,6 @@ class TestEnumerateBasis:
         monkeypatch.setenv("TCCR_DIM_LIMIT", "100000")
         assert enumerate_basis(5, 9).dim == 100000
 
-    def test_explicit_limit_wins(self):
-        assert enumerate_basis(5, 9, dim_limit=10**6).dim == 100000
-
 
 class TestOperatorNorm:
     def test_identity(self):

@@ -22,6 +22,60 @@ def max_entry_gap(ops_a, ops_b):
     return max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(ops_a, ops_b))
 
 
+# Reference: the power-table formulas that the single conjugation series replaced.
+def ref_powers(op, upto):
+    out = [identity(op.basis)]
+    for _ in range(upto):
+        out.append(out[-1] @ op)
+    return out
+
+
+def ref_weighted_range_series(t, ratio):
+    cap = t.basis.cap
+    powers = ref_powers(t, cap + 1)
+    total = powers[1] @ powers[1].adjoint()
+    factor = 1.0
+    for n in range(2, cap + 1):
+        factor *= ratio
+        total = total + factor * (powers[n] @ powers[n].adjoint())
+    tail = ratio**cap / (1.0 - ratio)
+    return total + tail * (powers[cap + 1] @ powers[cap + 1].adjoint())
+
+
+def ref_conjugation_series(t, inner, mu):
+    cap = t.basis.cap
+    powers = ref_powers(t, cap + 1)
+    total = inner
+    factor = 1.0
+    for n in range(1, cap + 1):
+        factor *= mu
+        total = total + factor * (powers[n] @ inner @ powers[n].adjoint())
+    tail = mu ** (cap + 1) / (1.0 - mu)
+    return total + tail * (powers[cap + 1] @ inner @ powers[cap + 1].adjoint())
+
+
+class TestSingleSeriesAgainstPowerTables:
+    @pytest.mark.parametrize("cap", [2, 4, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_class_phase_and_mu(self, d, cap):
+        gaps = []
+        for j in range(d + 1):
+            # the top class j = d has no phase generator
+            for phase in (0.0,) if j == d else (0.0, math.pi / 3, math.pi):
+                fam = build_irrep(IrrepSpec(d=d, class_j=j, cap=cap, phase=phase))
+                for mu in (-0.7, 0.0, 0.5, 0.9):
+                    for t in fam.ops:
+                        gaps.append(max_entry_gap(
+                            [positive_part_squared(t, mu), weighted_range_series(t, mu)],
+                            [ref_weighted_range_series(t, mu * mu), ref_weighted_range_series(t, mu)],
+                        ))
+                        for inner in fam.ops + (t @ t.adjoint(),):
+                            gaps.append(max_entry_gap(
+                                [conjugation_series(t, inner, mu)], [ref_conjugation_series(t, inner, mu)]
+                            ))
+        assert max(gaps) <= 1e-13
+
+
 class TestWeightedRangeSeries:
     def test_nilpotent_shift_matches_direct_sum(self):
         fam = build_irrep(IrrepSpec(d=2, class_j=2, cap=6))
@@ -44,6 +98,18 @@ class TestWeightedRangeSeries:
         defect = t2 @ t2.adjoint()
         expected = (1.0 / (1.0 - mu * mu)) * defect
         assert np.max(np.abs(got.matrix - expected.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("mu", [1.0, 1.5, -1.0])
+    def test_series_rejects_mu_outside_the_unit_disc(self, mu):
+        fam = build_irrep(IrrepSpec(d=1, class_j=1, cap=3))
+        t = fam.ops[0]
+        for series in (
+            lambda: conjugation_series(t, t @ t.adjoint(), mu),
+            lambda: weighted_range_series(t, mu),
+            lambda: positive_part_squared(t, mu),
+        ):
+            with pytest.raises(ValueError, match="must be < 1"):
+                series()
 
     def test_conjugation_series_undeformed_collapses(self):
         fam = build_irrep(IrrepSpec(d=2, class_j=2, cap=5))

@@ -51,15 +51,12 @@ class TestRelationSets:
         assert len(labels) == len(set(labels))
 
     def test_degree_matches_longest_word(self):
-        for rel in tccr_relations(3).relations:
-            assert rel.degree == max(rel.lhs.degree(), rel.rhs.degree())
-
-    def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="degree"):
-            Relation("bad", NcPolynomial.generator(1), NcPolynomial.zero(), 2)
+        for rels in (tccr_relations(3), pi_relations(3), qccr_relations()):
+            assert {rel.degree for rel in rels.relations} == {2}
+        assert Relation("x", NcPolynomial.generator(1), NcPolynomial.zero()).degree == 1
 
     def test_duplicate_labels_rejected(self):
-        rel = Relation("same", NcPolynomial.generator(1), NcPolynomial.zero(), 1)
+        rel = Relation("same", NcPolynomial.generator(1), NcPolynomial.zero())
         with pytest.raises(ValueError, match="duplicate"):
             RelationSet(kind="broken", relations=(rel, rel))
 
