@@ -16,9 +16,16 @@ A word is normal when its unstarred letters come first with non-decreasing
 indices, followed by starred letters with non-increasing indices.  The
 rewriting terminates: R1/R2 strictly reduce the number of starred-before-
 unstarred pairs, and R3/R4 keep it fixed while reducing sorting inversions
-inside the unstarred/starred blocks.  On normal forms the vacuum functional
-is a single lookup, because every nonempty normal word kills the vacuum on
-one side or the other.
+inside the unstarred/starred blocks.
+
+The vacuum functional (the empty-word coefficient of the normal form) is
+graded and memoised: each word reduces its leftmost redex and sums the
+values of the words it yields, memoised per word within one call.  Three
+lemmas that follow from R1-R4 alone prune it: (1) every rule preserves each
+index's charge #x_i - #x_i*, so a word of nonzero charge has value 0; (2) a
+word that starts unstarred keeps an unstarred first letter through every
+rewrite, so it never reaches the empty word; (3) likewise a word that ends
+starred.
 """
 
 from __future__ import annotations
@@ -240,9 +247,6 @@ class NcPolynomial:
     def degree(self) -> int:
         return max((len(w) for w in self._terms), default=0)
 
-    def max_index(self) -> int:
-        return max((l.index for w in self._terms for l in w), default=0)
-
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
         out = dict(self._terms)
         for word, coeff in other._terms.items():
@@ -372,13 +376,10 @@ def _pair_replacement(a: Letter, b: Letter) -> NcPolynomial:
 
 
 def _check_indices(p: NcPolynomial, d: int) -> None:
-    top = p.max_index()
-    if top > d:
-        raise ValueError(f"polynomial uses generator index {top} but d = {d}")
     for word, _ in p.terms():
         for l in word:
-            if l.index < 1:
-                raise ValueError(f"generator index {l.index} is not positive")
+            if not 1 <= l.index <= d:
+                raise ValueError(f"generator index {l.index} outside 1..{d}")
 
 
 def normal_order(p: NcPolynomial, d: int, strategy: str = "leftmost") -> NcPolynomial:
@@ -410,17 +411,56 @@ def normal_order(p: NcPolynomial, d: int, strategy: str = "leftmost") -> NcPolyn
     return NcPolynomial(done)
 
 
+def _content(letters: Iterable[Letter]) -> list[int]:
+    return sorted(l.index for l in letters)
+
+
+def _vacuum_word(word: Word, memo: dict[Word, MuPoly]) -> MuPoly:
+    """Vacuum functional of one word, by leftmost reduction on a work stack."""
+
+    def value(w: Word) -> MuPoly | None:
+        # lemmas 2 and 3 fix every word that does not start starred and end unstarred
+        if not w:
+            return MuPoly.one()
+        if not w[0].starred or w[-1].starred:
+            return MuPoly.zero()
+        return memo.get(w)
+
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        if value(w) is not None:
+            continue
+        # w starts starred and ends unstarred, so it has a redex
+        pos = _find_redex(w, "leftmost")
+        repl = _pair_replacement(w[pos], w[pos + 1])._terms.items()
+        children = [(w[:pos] + rw + w[pos + 2 :], rc) for rw, rc in repl]
+        missing = [c for c, _ in children if value(c) is None]
+        if missing:
+            stack += [w, *missing]
+        else:
+            memo[w] = sum((rc * value(c) for c, rc in children), MuPoly.zero())
+    return value(word)
+
+
 def vacuum_expectation(p: NcPolynomial, d: int) -> MuPoly:
     """Empty-word coefficient of the normal form: the exact vacuum functional."""
-    return normal_order(p, d).coefficient(())
+    _check_indices(p, d)
+    memo: dict[Word, MuPoly] = {}
+    total = MuPoly.zero()
+    for word, coeff in p.terms():
+        # lemma 1: only words of zero charge can reach the empty word
+        if _content(l for l in word if l.starred) == _content(l for l in word if not l.starred):
+            total = total + coeff * _vacuum_word(word, memo)
+    return total
 
 
 # ---------------------------------------------------------------------------
 # Gram matrices over unstarred words
 # ---------------------------------------------------------------------------
 
-GRAM_MAX_LEVEL = 4
-GRAM_MAX_D = 3
+GRAM_MAX_LEVEL = 6
+GRAM_MAX_WORDS = 400
 
 
 def gram_basis_words(level: int, d: int) -> list[Word]:
@@ -438,24 +478,24 @@ def gram_matrix(level: int, d: int) -> tuple[list[Word], list[list[MuPoly]]]:
 
     Entry (v, w) is the vacuum functional of adjoint(w) v; with rational
     coefficients the matrix is exactly symmetric, so only one triangle is
-    computed.
+    computed.  By lemma 1 the entry is 0 unless v and w use the same multiset
+    of indices, and all entries share one memo table.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    if level > GRAM_MAX_LEVEL or d > GRAM_MAX_D:
+    if level > GRAM_MAX_LEVEL or sum(d**k for k in range(level + 1)) > GRAM_MAX_WORDS:
         raise CapacityError(
-            f"gram matrix bounds exceeded: level {level} > {GRAM_MAX_LEVEL} or d {d} > {GRAM_MAX_D}"
+            f"gram basis too large: level {level} > {GRAM_MAX_LEVEL} or over {GRAM_MAX_WORDS} words"
         )
     words = gram_basis_words(level, d)
+    contents = [_content(w) for w in words]
     n = len(words)
+    memo: dict[Word, MuPoly] = {}
     entries: list[list[MuPoly]] = [[MuPoly.zero()] * n for _ in range(n)]
     for r in range(n):
         for c in range(r + 1):
-            pairing = vacuum_expectation(
-                NcPolynomial.from_word(word_adjoint(words[c]) + words[r]), d
-            )
-            entries[r][c] = pairing
-            entries[c][r] = pairing
+            if contents[r] == contents[c]:
+                entries[r][c] = entries[c][r] = _vacuum_word(word_adjoint(words[c]) + words[r], memo)
     return words, entries
 
 
@@ -576,6 +616,8 @@ def evaluate_word(family, word: Word) -> LinearOperator:
         out = identity(family.basis)
     else:
         head = key[0]
+        if not 1 <= head.index <= len(family.ops):
+            raise ValueError(f"generator index {head.index} outside 1..{len(family.ops)}")
         base = family.ops[head.index - 1]
         head_op = base.adjoint() if head.starred else base
         out = head_op @ evaluate_word(family, key[1:])
@@ -585,10 +627,7 @@ def evaluate_word(family, word: Word) -> LinearOperator:
 
 def evaluate_poly(family, p: NcPolynomial, mu: float) -> LinearOperator:
     """Substitute family operators for letters and evaluate coefficients at mu."""
-    if p.max_index() > len(family.ops):
-        raise ValueError(
-            f"polynomial uses generator index {p.max_index()} but family has d = {len(family.ops)}"
-        )
+    _check_indices(p, len(family.ops))
     acc = zero(family.basis)
     for word, coeff in p.terms():
         acc = acc + coeff.evaluate(mu) * evaluate_word(family, word)

@@ -165,6 +165,11 @@ class TestSubcommands:
         assert "1 + mu^2" in text
         assert "<a1 a1>" in text
 
+    def test_gram_at_the_top_level(self, capsys):
+        code, out, _ = run(capsys, "gram", "--d", "2", "--level", "6", "--cap", "6", "--bridge-count", "2")
+        assert code == 0
+        assert json.loads(out[out.index("{"):])["params"]["level"] == 6
+
     def test_gram_report_checks(self, capsys):
         code, out, _ = run(capsys, "gram", "--d", "2", "--level", "2", "--bridge-count", "3")
         assert code == 0

@@ -159,6 +159,21 @@ class TestNormBound:
         assert val == pytest.approx((1 - mu**20) / (1 - mu * mu), abs=1e-10)
         assert val < 1 / (1 - mu * mu)
 
+    def test_bound_residual_is_the_excess(self):
+        mu = 0.5
+        fam = build_fock_tccr(2, mu, 8)
+        bound_rows = [c for c in norm_bound_check(fam).checks if c.id.startswith("bound/")]
+        assert [c.residual for c in bound_rows] == [0.0, 0.0]
+        # doubling a2 raises norm(a2 a2*) fourfold, over the bound 1/(1 - mu^2)
+        scaled = TccrFamily(basis=fam.basis, ops=(fam.ops[0], 2.0 * fam.ops[1]), mu=mu)
+        report = norm_bound_check(scaled)
+        rows = {c.id: c for c in report.checks}
+        val = operator_norm(scaled.ops[1] @ scaled.ops[1].adjoint())
+        assert rows["bound/i1"].residual == 0.0
+        assert rows["bound/i2"].residual == pytest.approx(val - 1 / (1 - mu * mu), abs=1e-12)
+        assert rows["bound/i2"].residual > 1.0
+        assert not rows["bound/i2"].passed
+
 
 class TestNormDomination:
     def test_single_letters_saturate(self):

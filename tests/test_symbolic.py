@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tccr.families
+import tccr.symbolic
 from tccr.families import build_fock_tccr
-from tccr.fock import CapacityError, TruncationError
+from tccr.fock import CapacityError, LinearOperator, TruncationError
 from tccr.symbolic import (
     Letter,
     MuPoly,
@@ -15,6 +18,8 @@ from tccr.symbolic import (
     ParseError,
     eval_and_bridge,
     evaluate_mu_matrix,
+    evaluate_poly,
+    evaluate_word,
     gen,
     gen_star,
     gram_basis_words,
@@ -22,6 +27,7 @@ from tccr.symbolic import (
     normal_order,
     parse_polynomial,
     random_polynomial,
+    random_word,
     vacuum_expectation,
     word_adjoint,
 )
@@ -226,10 +232,126 @@ class TestGramMatrix:
             assert low >= -1e-10, (level, d, mu, low)
 
     def test_capacity_bounds(self):
+        # level 7 is one past GRAM_MAX_LEVEL; d = 4 at level 5 has 1365 > 400 basis words
         with pytest.raises(CapacityError):
-            gram_matrix(5, 1)
+            gram_matrix(7, 1)
         with pytest.raises(CapacityError):
-            gram_matrix(1, 4)
+            gram_matrix(5, 4)
+
+
+def reference_vacuum(p, d):
+    return normal_order(p, d).coefficient(())
+
+
+def charge(w):
+    """Nonzero charges #x_i - #x_i* of a word, by index."""
+    net = Counter()
+    for l in w:
+        net[l.index] += -1 if l.starred else 1
+    return {i: n for i, n in net.items() if n}
+
+
+class TestVacuumFunctional:
+    """The graded, memoised functional against the full normal form."""
+
+    @pytest.mark.parametrize("level,d", [(lv, d) for d in (1, 2, 3) for lv in (0, 1, 2, 3)])
+    def test_every_pairing_matches_the_normal_form(self, level, d):
+        words, entries = gram_matrix(level, d)
+        for r, v in enumerate(words):
+            for c, w in enumerate(words):
+                assert entries[r][c] == reference_vacuum(word(*word_adjoint(w), *v), d), (v, w)
+
+    def test_random_polynomials_match_the_normal_form(self):
+        for k in range(500):
+            rng = random.Random(f"vacuum:{k}")
+            d = 1 + k % 3
+            p = random_polynomial(d, 6, rng)
+            assert vacuum_expectation(p, d) == reference_vacuum(p, d), p
+
+    def test_charge_is_preserved(self):
+        # lemma 1: every word of the normal form has the charge of the input
+        rng = random.Random("lemma1")
+        charged = 0
+        for _ in range(300):
+            w = random_word(3, 6, rng)
+            for nf_word, _ in normal_order(word(*w), 3).terms():
+                assert charge(nf_word) == charge(w)
+            if charge(w):
+                charged += 1
+                assert vacuum_expectation(word(*w), 3).is_zero
+        assert charged > 100
+
+    def test_unstarred_first_letter_survives(self):
+        # lemma 2: every word of the normal form starts with an unstarred letter
+        rng = random.Random("lemma2")
+        for _ in range(300):
+            w = (gen(rng.randint(1, 3)),) + random_word(3, 6, rng)
+            for nf_word, _ in normal_order(word(*w), 3).terms():
+                assert nf_word and not nf_word[0].starred
+            assert vacuum_expectation(word(*w), 3).is_zero
+
+    def test_starred_last_letter_survives(self):
+        # lemma 3: every word of the normal form ends with a starred letter
+        rng = random.Random("lemma3")
+        for _ in range(300):
+            w = random_word(3, 6, rng) + (gen_star(rng.randint(1, 3)),)
+            for nf_word, _ in normal_order(word(*w), 3).terms():
+                assert nf_word and nf_word[-1].starred
+            assert vacuum_expectation(word(*w), 3).is_zero
+
+    @pytest.mark.parametrize(
+        "letters",
+        [
+            (gen_star(1), gen(2)),  # lemma 1: charge +1 on index 2, -1 on index 1
+            (gen(1), gen_star(2), gen(2), gen_star(1)),  # lemma 2: unstarred first letter
+            (gen_star(1), gen(1), gen(2), gen_star(2)),  # lemma 3: starred last letter
+        ],
+    )
+    def test_pruned_words_are_never_reduced(self, letters, monkeypatch):
+        assert reference_vacuum(word(*letters), 2).is_zero
+        monkeypatch.setattr(tccr.symbolic, "_find_redex", None)
+        assert vacuum_expectation(word(*letters), 2).is_zero
+
+    def test_gram_reduces_only_pairings_of_equal_content(self, monkeypatch):
+        reduced = []
+        vacuum_word = tccr.symbolic._vacuum_word
+
+        def record(w, memo):
+            reduced.append(w)
+            return vacuum_word(w, memo)
+
+        monkeypatch.setattr(tccr.symbolic, "_vacuum_word", record)
+        words, _ = gram_matrix(3, 2)
+        same_content = sum(
+            sorted(v) == sorted(w) for r, v in enumerate(words) for w in words[: r + 1]
+        )
+        assert len(reduced) == same_content < len(words) * (len(words) + 1) // 2
+
+    def test_long_word_needs_no_recursion(self):
+        # (a1* a1)^1200 = 1 on the vacuum, through a chain of 1200 memoised words
+        long_word = (gen_star(1), gen(1)) * 1200
+        assert vacuum_expectation(word(*long_word), 1) == MuPoly.one()
+
+    def test_index_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="index 3"):
+            vacuum_expectation(word(gen_star(3), gen(3)), 2)
+        with pytest.raises(ValueError, match="index 0"):
+            vacuum_expectation(word(Letter(0, True), Letter(0, False)), 2)
+
+    def test_independent_of_the_matrix_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact engine touched the numeric model")
+
+        monkeypatch.setattr(tccr.families, "build_fock_tccr", refuse)
+        monkeypatch.setattr(tccr.symbolic, "evaluate_word", refuse)
+        monkeypatch.setattr(LinearOperator, "__matmul__", refuse)
+        words, entries = gram_matrix(3, 2)
+        for r, v in enumerate(words):
+            for c, w in enumerate(words):
+                assert entries[r][c] == reference_vacuum(word(*word_adjoint(w), *v), 2)
+        for seed in range(40):
+            p = seeded_poly(seed, d=3, max_degree=6)
+            assert vacuum_expectation(p, 3) == reference_vacuum(p, 3)
 
 
 class TestParser:
@@ -273,6 +395,31 @@ class TestParser:
     def test_text_roundtrip(self, seed):
         p = seeded_poly(seed)
         assert parse_polynomial(p.to_text(), 2) == p
+
+
+class TestIndexRejection:
+    @pytest.mark.parametrize("index", [0, -1])
+    @pytest.mark.parametrize("starred", [False, True])
+    def test_evaluate_word_rejects_non_positive_index(self, index, starred):
+        fam = build_fock_tccr(2, 0.5, 3)
+        with pytest.raises(ValueError, match=f"index {index}"):
+            evaluate_word(fam, (Letter(index, starred),))
+        with pytest.raises(ValueError, match=f"index {index}"):
+            evaluate_word(fam, (gen(1), Letter(index, starred)))
+
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_evaluate_poly_rejects_non_positive_index(self, index):
+        fam = build_fock_tccr(2, 0.5, 3)
+        p = NcPolynomial.generator(2) + NcPolynomial.from_word((Letter(index, True),))
+        with pytest.raises(ValueError, match=f"index {index}"):
+            evaluate_poly(fam, p, 0.5)
+
+    def test_index_beyond_d_rejected(self):
+        fam = build_fock_tccr(2, 0.5, 3)
+        with pytest.raises(ValueError, match="index 3"):
+            evaluate_word(fam, (gen(3),))
+        with pytest.raises(ValueError, match="index 3"):
+            evaluate_poly(fam, NcPolynomial.generator(3), 0.5)
 
 
 class TestEvalAndBridge:
