@@ -277,7 +277,8 @@ def run_faithfulness(
     parts = [_prefixed(collapse_check(d, j, phase, cap), f"j{j}/") for j in range(d)]
     parts.append(
         norm_domination_sample(
-            d, cap, phase=phase, n_words=words, max_len=max_len, seed=seed, tolerance=tol
+            d, cap, phase=phase, n_words=words, max_len=max_len, seed=seed,
+            monotone_caps=tuple(c for c in (4, 6, 8) if c <= cap), tolerance=tol,
         )
     )
     params = {

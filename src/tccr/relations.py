@@ -33,10 +33,10 @@ from .symbolic import (
     NcPolynomial,
     Word,
     evaluate_poly,
-    evaluate_word,
     gen,
     gen_star,
     random_word,
+    word_norms,
     word_str,
 )
 
@@ -275,10 +275,6 @@ def norm_bound_check(a: TccrFamily, tolerance: float = MODEL_TOL) -> Verificatio
     return report
 
 
-def _word_norm(family, word: Word) -> float:
-    return operator_norm(evaluate_word(family, word))
-
-
 def norm_domination_sample(
     d: int,
     cap: int,
@@ -323,28 +319,25 @@ def norm_domination_sample(
             "tolerance": tolerance,
         },
     )
+    fock_norms = word_norms(fock, words).tolist()
+    class_norms = {j: word_norms(fam, words).tolist() for j, fam in class_families.items()}
+    ladder_norms = [(fam.basis.cap, word_norms(fam, words).tolist()) for fam in ladder]
     for k, word in enumerate(words):
         text = word_str(word, "t")
-        fock_norm = _word_norm(fock, word)
         for j in classes:
-            val = _word_norm(class_families[j], word)
             report.add(
                 f"dominate/w{k:03d}/j{j}",
                 f"norm_{j}({text}) <= norm_fock({text})",
-                val - fock_norm,
+                class_norms[j][k] - fock_norms[k],
                 tolerance,
             )
-        prev = None
-        for fam in ladder:
-            cur = _word_norm(fam, word)
-            if prev is not None:
-                report.add(
-                    f"monotone/w{k:03d}/cap{fam.basis.cap}",
-                    f"norm_fock({text}) non-decreasing from cap {prev[0]} to {fam.basis.cap}",
-                    prev[1] - cur,
-                    tolerance,
-                )
-            prev = (fam.basis.cap, cur)
+        for (low, prev), (high, cur) in zip(ladder_norms, ladder_norms[1:]):
+            report.add(
+                f"monotone/w{k:03d}/cap{high}",
+                f"norm_fock({text}) non-decreasing from cap {low} to {high}",
+                prev[k] - cur[k],
+                tolerance,
+            )
     return report
 
 

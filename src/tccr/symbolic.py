@@ -33,11 +33,11 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .fock import CapacityError, LinearOperator, TruncationError, identity, zero
+from .fock import CapacityError, LinearOperator, Monomial, TruncationError, _require_finite, zero
 from .report import VerificationReport
 
 if TYPE_CHECKING:
@@ -60,6 +60,7 @@ __all__ = [
     "evaluate_mu_matrix",
     "parse_polynomial",
     "evaluate_word",
+    "word_norms",
     "evaluate_poly",
     "eval_and_bridge",
     "random_word",
@@ -375,8 +376,8 @@ def _pair_replacement(a: Letter, b: Letter) -> NcPolynomial:
     raise ValueError(f"not a redex: {a}, {b}")
 
 
-def _check_indices(p: NcPolynomial, d: int) -> None:
-    for word, _ in p.terms():
+def _check_indices(words: Iterable[Word], d: int) -> None:
+    for word in words:
         for l in word:
             if not 1 <= l.index <= d:
                 raise ValueError(f"generator index {l.index} outside 1..{d}")
@@ -386,7 +387,7 @@ def normal_order(p: NcPolynomial, d: int, strategy: str = "leftmost") -> NcPolyn
     """Rewrite to the unique normal form under rules R1-R4."""
     if strategy not in _STRATEGIES:
         raise ValueError(f"strategy must be one of {_STRATEGIES}, got {strategy!r}")
-    _check_indices(p, d)
+    _check_indices(p._terms, d)
     done: dict[Word, MuPoly] = {}
     pending = dict(p._terms)
     while pending:
@@ -445,7 +446,7 @@ def _vacuum_word(word: Word, memo: dict[Word, MuPoly]) -> MuPoly:
 
 def vacuum_expectation(p: NcPolynomial, d: int) -> MuPoly:
     """Empty-word coefficient of the normal form: the exact vacuum functional."""
-    _check_indices(p, d)
+    _check_indices(p._terms, d)
     memo: dict[Word, MuPoly] = {}
     total = MuPoly.zero()
     for word, coeff in p.terms():
@@ -605,29 +606,61 @@ def parse_polynomial(text: str, d: int) -> NcPolynomial:
 # ---------------------------------------------------------------------------
 
 
+# most (word, basis vector) entries one kernel block holds
+_WORD_BLOCK_ENTRIES = 1 << 20
+
+
+def _word_blocks(family, words: Sequence[Word]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Products of many words, right to left over the letter tables: ``L1 (L2 (.. (Ln 1)))``.
+
+    Yields ``(rows, vals)`` per block of words: column c of the k-th word's
+    product holds ``vals[k, c]`` in row ``rows[k, c]``, or nothing when that row is -1.
+    """
+    d, dim = len(family.ops), family.basis.dim
+    _check_indices(words, d)
+    table_rows, table_vals = (t.ravel() for t in family.letter_tables)
+    per_block = max(1, _WORD_BLOCK_ENTRIES // dim)
+    for start in range(0, len(words), per_block):
+        block = words[start : start + per_block]
+        width = max(map(len, block))
+        # letter codes, left-padded with the identity (code 2d)
+        padded = [[2 * d] * (width - len(w)) + [2 * l.index - 2 + l.starred for l in w] for w in block]
+        codes = np.array(padded, dtype=np.intp)
+        rows = np.arange(dim)[None, :]
+        vals = np.ones((len(block), dim), dtype=complex)
+        for k in reversed(range(width)):
+            # row -1 lands on the dead entry (-1, 0) ending the previous table row (the last, for code 0)
+            at = codes[:, k, None] * (dim + 1) + rows
+            np.multiply(table_vals[at], vals, out=vals)
+            rows = table_rows[at]
+        yield rows, vals
+
+
 def evaluate_word(family, word: Word) -> LinearOperator:
-    """Product of family operators for a word, memoized on the family."""
-    cache = family.word_cache
+    """Product of family operators for a word, memoised on the family."""
     key = tuple(word)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if not key:
-        out = identity(family.basis)
-    else:
-        head = key[0]
-        if not 1 <= head.index <= len(family.ops):
-            raise ValueError(f"generator index {head.index} outside 1..{len(family.ops)}")
-        base = family.ops[head.index - 1]
-        head_op = base.adjoint() if head.starred else base
-        out = head_op @ evaluate_word(family, key[1:])
-    cache[key] = out
+    hit = family.word_cache.get(key)
+    if hit is None:
+        rows, vals = (a[0] for a in next(_word_blocks(family, [key])))
+        live = np.flatnonzero(rows >= 0)
+        cols, out = np.full(len(rows), -1), np.zeros(len(rows), dtype=complex)
+        cols[rows[live]], out[rows[live]] = live, vals[live]
+        hit = family.word_cache[key] = LinearOperator(family.basis, Monomial(cols, out))
+    return hit
+
+
+def word_norms(family, words: Sequence[Word]) -> np.ndarray:
+    """Operator norm of every word's product: its largest entry modulus."""
+    # a dead column holds 0, or NaN where a non-finite value died; neither is an entry
+    norms = [np.abs(np.where(rows >= 0, vals, 0)).max(axis=1) for rows, vals in _word_blocks(family, words)]
+    out = np.concatenate([np.zeros(0), *norms])
+    _require_finite(out)
     return out
 
 
 def evaluate_poly(family, p: NcPolynomial, mu: float) -> LinearOperator:
     """Substitute family operators for letters and evaluate coefficients at mu."""
-    _check_indices(p, len(family.ops))
+    _check_indices(p._terms, len(family.ops))
     acc = zero(family.basis)
     for word, coeff in p.terms():
         acc = acc + coeff.evaluate(mu) * evaluate_word(family, word)

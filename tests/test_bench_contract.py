@@ -30,3 +30,16 @@ def test_traced_demo_runs_and_records_products(tmp_path):
     spans = tracer.summary()["spans"]
     assert spans["fock.matmul"]["calls"] > 0
     assert tccr.cli.main.__name__ == "main" and not hasattr(tccr.cli.main, "__wrapped__")
+
+
+def test_traced_faithfulness_writes_the_untraced_report(tmp_path):
+    argv = ["faithfulness", "--d", "2", "--cap", "8", "--words", "20"]
+    assert tccr.cli.main([*argv, "--out", str(tmp_path / "plain.json")]) == 0
+    tracer = load_tracer_class()()
+    tracer.install()
+    try:
+        code = tccr.cli.main([*argv, "--out", str(tmp_path / "traced.json")])
+    finally:
+        tracer.restore()
+    assert code == 0
+    assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "plain.json").read_bytes()

@@ -178,6 +178,20 @@ class TestSubcommands:
         assert any(i.startswith("positivity/") for i in ids)
         assert any(i.startswith("bridge/") for i in ids)
 
+    def test_faithfulness_long_words_need_no_recursion(self, capsys):
+        code, _, _ = run(capsys, "faithfulness", "--d", "2", "--cap", "4", "--words", "3", "--max-len", "3000")
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "d, cap, words, rungs",
+        [("5", "6", "100", {"cap6"}), ("2", "12", "5", {"cap6", "cap8"}), ("2", "5", "5", set())],
+    )
+    def test_faithfulness_ladder_ends_at_the_cap(self, capsys, d, cap, words, rungs):
+        code, out, _ = run(capsys, "faithfulness", "--d", d, "--cap", cap, "--words", words)
+        assert code == 0
+        ids = [c["id"] for c in json.loads(out)["checks"]]
+        assert {i.rsplit("/", 1)[1] for i in ids if i.startswith("monotone/")} == rungs
+
     def test_demo_touches_every_module(self, capsys):
         code, out, _ = run(capsys, "demo")
         assert code == 0

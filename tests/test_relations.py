@@ -27,6 +27,7 @@ from tccr.relations import (
     tensor_word_matrix,
     tensor_word_product,
 )
+from tccr.reconstruct import isometries_from_generators
 from tccr.report import Check, VerificationReport, merge_reports
 from tccr.symbolic import NcPolynomial, evaluate_poly, gen, gen_star
 from tccr.families import build_qccr_single, defect_matrix, shift_matrix
@@ -127,6 +128,16 @@ class TestPiResiduals:
                 direct = core_residual(lhs, rhs, rel.degree)
                 flipped = core_residual(lhs_a, rhs_a, adj.degree)
                 assert abs(direct - flipped) <= 1e-12
+
+
+class TestTruncationInvariance:
+    @pytest.mark.parametrize("mu", [-0.7, 0.5])
+    def test_true_relations_stay_at_rounding_level_along_the_caps(self, mu):
+        for cap in range(4, 11):
+            a = build_fock_tccr(2, mu, cap)
+            fock = build_irrep(IrrepSpec(d=2, class_j=2, cap=cap))
+            for report in (tccr_residuals(a), pi_residuals(isometries_from_generators(a)), pi_residuals(fock)):
+                assert max(c.residual for c in report.checks) <= 1e-12, (cap, report.worst())
 
 
 class TestQccrResiduals:

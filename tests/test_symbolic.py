@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,8 +11,16 @@ from hypothesis import strategies as st
 
 import tccr.families
 import tccr.symbolic
-from tccr.families import build_fock_tccr
-from tccr.fock import CapacityError, LinearOperator, TruncationError
+from tccr.families import IrrepSpec, TccrFamily, build_fock_tccr, build_irrep
+from tccr.fock import (
+    CapacityError,
+    LinearOperator,
+    Monomial,
+    TruncationError,
+    enumerate_basis,
+    identity,
+    operator_norm,
+)
 from tccr.symbolic import (
     Letter,
     MuPoly,
@@ -30,6 +40,7 @@ from tccr.symbolic import (
     random_word,
     vacuum_expectation,
     word_adjoint,
+    word_norms,
 )
 
 MU_SAMPLES = (-0.9, -0.5, 0.0, 0.3, 0.7, 0.9)
@@ -344,6 +355,7 @@ class TestVacuumFunctional:
 
         monkeypatch.setattr(tccr.families, "build_fock_tccr", refuse)
         monkeypatch.setattr(tccr.symbolic, "evaluate_word", refuse)
+        monkeypatch.setattr(tccr.symbolic, "_word_blocks", refuse)
         monkeypatch.setattr(LinearOperator, "__matmul__", refuse)
         words, entries = gram_matrix(3, 2)
         for r, v in enumerate(words):
@@ -420,6 +432,106 @@ class TestIndexRejection:
             evaluate_word(fam, (gen(3),))
         with pytest.raises(ValueError, match="index 3"):
             evaluate_poly(fam, NcPolynomial.generator(3), 0.5)
+
+    @pytest.mark.parametrize("index", [0, -1, 3])
+    @pytest.mark.parametrize("starred", [False, True])
+    def test_word_norms_rejects_index_outside_range(self, index, starred):
+        fam = build_fock_tccr(2, 0.5, 3)
+        with pytest.raises(ValueError, match=f"index {index}"):
+            word_norms(fam, [(gen(1),), (gen(2), Letter(index, starred))])
+
+
+def fold_word(family, w):
+    """Test-only reference: the product of a word's operators by ``@``, folded from the right.
+
+    ``L1 (L2 (.. (Ln 1)))`` is the association of the recursive evaluation the
+    kernel replaced; a fold from the left, ``((L1 L2) ..) Ln``, rounds the
+    values differently.
+    """
+    letters = [family.ops[l.index - 1].adjoint() if l.starred else family.ops[l.index - 1] for l in w]
+    return functools.reduce(lambda acc, op: op @ acc, reversed(letters), identity(family.basis))
+
+
+def kernel_families():
+    for d in (1, 2, 3):
+        for j in range(d + 1):
+            for phase in (0.0, math.pi / 3):
+                yield pytest.param(lambda d=d, j=j, phase=phase: build_irrep(IrrepSpec(d, j, 4, phase)),
+                                   id=f"d{d}-j{j}-phi{phase:.2f}")
+        for mu in (-0.9, 0.0, 0.5):
+            yield pytest.param(lambda d=d, mu=mu: build_fock_tccr(d, mu, 4), id=f"d{d}-fock-mu{mu}")
+
+
+def kernel_words(d):
+    rng = random.Random(f"kernel:{d}")
+    return [()] + [random_word(d, 8, rng) for _ in range(300)]
+
+
+class TestWordKernel:
+    @pytest.mark.parametrize("make", kernel_families())
+    def test_matches_the_fold(self, make):
+        fam = make()
+        words = kernel_words(fam.d)
+        for w in words:
+            got, want = evaluate_word(fam, w).monomial, fold_word(fam, w).monomial
+            assert np.array_equal(got.cols, want.cols) and np.array_equal(got.vals, want.vals), w
+        norms = word_norms(fam, words)
+        assert np.array_equal(norms, [operator_norm(evaluate_word(fam, w)) for w in words])
+
+    def test_blocks_of_one_word(self, monkeypatch):
+        fam = build_fock_tccr(2, 0.5, 4)
+        words = kernel_words(2)[:40]
+        whole = word_norms(fam, words)
+        monkeypatch.setattr(tccr.symbolic, "_WORD_BLOCK_ENTRIES", 1)
+        assert np.array_equal(word_norms(fam, words), whole)
+        # each block holds two words, so the last block is short
+        monkeypatch.setattr(tccr.symbolic, "_WORD_BLOCK_ENTRIES", 2 * fam.basis.dim)
+        assert np.array_equal(word_norms(fam, words[:-1]), whole[:-1])
+
+    def test_empty_word_and_empty_list(self):
+        fam = build_fock_tccr(2, 0.5, 4)
+        assert np.array_equal(evaluate_word(fam, ()).matrix, np.eye(fam.basis.dim))
+        assert word_norms(fam, [(), ()]).tolist() == [1.0, 1.0]
+        assert word_norms(fam, []).shape == (0,)
+
+    def test_memoises_whole_words_only(self):
+        fam = build_fock_tccr(2, 0.5, 4)
+        w = (gen_star(1), gen(2), gen(1))
+        assert evaluate_word(fam, w) is evaluate_word(fam, w)
+        assert list(fam.word_cache) == [w]
+        word_norms(fam, [w[1:]])
+        assert list(fam.word_cache) == [w]
+
+    def test_long_word_needs_no_recursion(self):
+        fam = build_fock_tccr(2, 0.5, 4)
+        long_word = (gen_star(1), gen(1), gen(2), gen_star(2)) * 500
+        got, want = evaluate_word(fam, long_word).monomial, fold_word(fam, long_word).monomial
+        assert np.array_equal(got.cols, want.cols) and np.array_equal(got.vals, want.vals)
+        assert np.count_nonzero(got.vals) > 0
+        assert word_norms(fam, [long_word])[0] == operator_norm(evaluate_word(fam, long_word))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_value_rejected(self, bad):
+        basis = enumerate_basis(1, 3)
+        op = LinearOperator(basis, Monomial(np.array([-1, 0, 1, 2]), np.array([0, 1, bad, 1])))
+        fam = TccrFamily(basis=basis, ops=(op,), mu=0.5)
+        for w in [(gen(1),), (gen(1), gen_star(1))]:
+            with pytest.raises(ValueError, match="non-finite"):
+                word_norms(fam, [(), w])
+            with pytest.raises(ValueError, match="non-finite"):
+                operator_norm(evaluate_word(fam, w))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_value_that_no_row_reaches_is_no_entry(self):
+        basis = enumerate_basis(1, 3)
+        raise_ = LinearOperator(basis, Monomial(np.array([-1, 0, 1, 2]), np.array([0, 1, np.inf, 1])))
+        vacuum = LinearOperator(basis, Monomial(np.array([0, -1, -1, -1]), np.array([1, 0, 0, 0])))
+        fam = TccrFamily(basis=basis, ops=(raise_, vacuum), mu=0.5)
+        # the vacuum projection reads no column the infinite entry lands in
+        w = (gen(2), gen(1))
+        assert operator_norm(fold_word(fam, w)) == 0.0
+        assert word_norms(fam, [w]).tolist() == [operator_norm(evaluate_word(fam, w))] == [0.0]
 
 
 class TestEvalAndBridge:
