@@ -27,7 +27,7 @@ from .relations import (
     qccr_residuals,
     tccr_residuals,
 )
-from .report import VerificationReport, merge_reports
+from .report import VerificationReport, merge_reports, round_float
 from .symbolic import (
     eval_and_bridge,
     evaluate_mu_matrix,
@@ -74,8 +74,11 @@ def _positive_finite(name: str) -> Callable[[str], float]:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}")
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"{name} must be finite and > 0, got {value}")
+        # a report stores the value at 15 significant digits, where it must stay finite
+        if not (math.isfinite(round_float(value)) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"{name} must be finite and > 0 (also at 15 significant digits), got {value}"
+            )
         return value
 
     return parse
@@ -97,8 +100,10 @@ def _phase(text: str) -> float:
                     value = factor * math.pi / divisor
             except ValueError:
                 pass
-    if value is None or not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"cannot parse phase {text!r} as a finite number")
+    if value is None or not math.isfinite(round_float(value)):
+        raise argparse.ArgumentTypeError(
+            f"cannot parse phase {text!r} as a number finite at 15 significant digits"
+        )
     return value
 
 

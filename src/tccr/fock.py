@@ -14,6 +14,14 @@ are O(dim) gathers; polar factors, square roots and norms are exact
 elementwise formulas.  A sum whose column maps collide is not monomial and
 raises ``ValueError``; ``LinearOperator.matrix`` is a dense view for tests.
 
+The public constructor ``LinearOperator(basis, monomial)`` validates its
+input in full.  The closed operations on canonical operands (``adjoint``,
+unary ``-``, ``@``, scalar ``*``, ``identity`` and ``zero``) are canonical
+by construction: they keep the column map injective and in range, so their
+results skip that check, and ``@`` and ``*`` only drop the exact zeros they
+can create.  ``+`` and ``-`` stay fully checked, because two column maps can
+collide.  Core masks are built once per basis and shared read-only.
+
 Relations between shift-type operators hold exactly away from the cap; the
 ``core_residual`` helper measures a relation only on vectors far enough from
 the cap that truncation cannot leak in.
@@ -86,6 +94,8 @@ class FockBasis:
 
     slots: int
     cap: int
+    # core level -> read-only mask; levels above the cap share the cap's all-true mask
+    _core_masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.slots < 1:
@@ -132,10 +142,16 @@ class FockBasis:
         return (np.arange(self.dim, dtype=np.int64)[:, None] // strides) % radix
 
     def core_mask(self, level: int) -> np.ndarray:
-        """Boolean mask of basis vectors with every occupation <= level."""
+        """Read-only boolean mask of basis vectors with every occupation <= level, kept per basis."""
         if level < 0:
             raise ValueError(f"core level must be >= 0, got {level}")
-        return (self.occupations() <= level).all(axis=1)
+        level = min(level, self.cap)
+        mask = self._core_masks.get(level)
+        if mask is None:
+            mask = (self.occupations() <= level).all(axis=1)
+            mask.flags.writeable = False
+            self._core_masks[level] = mask
+        return mask
 
 
 def enumerate_basis(slots: int, cap: int) -> FockBasis:
@@ -163,6 +179,28 @@ class Monomial:
 
     cols: np.ndarray
     vals: np.ndarray
+
+
+class _Canonical(Monomial):
+    """Arrays already in canonical form, made by a closed operation on canonical operands.
+
+    ``LinearOperator`` only freezes them; any other input is validated in full.
+    """
+
+
+def _closed(basis: FockBasis, cols: np.ndarray, vals: np.ndarray) -> "LinearOperator":
+    """Operator from canonical ``np.intp`` and complex arrays of length ``basis.dim``, fresh or frozen."""
+    return LinearOperator(basis, _Canonical(cols, vals))
+
+
+def _dropping_zeros(basis: FockBasis, cols: np.ndarray, vals: np.ndarray) -> "LinearOperator":
+    """Operator from an injective, in-range column map whose values may hold new exact zeros.
+
+    A product can underflow to 0, a scalar can be 0, and ``inf * 0`` in an
+    empty row is NaN; such rows are emptied exactly as the constructor does.
+    """
+    empty = (cols < 0) | (vals == 0)
+    return _closed(basis, np.where(empty, -1, cols), np.where(empty, 0j, vals))
 
 
 def _monomial_of_dense(mat: np.ndarray) -> Monomial:
@@ -194,8 +232,14 @@ class LinearOperator:
     monomial: Monomial = field(repr=False)
 
     def __post_init__(self) -> None:
-        dim = self.basis.dim
         data = self.monomial
+        if type(data) is _Canonical:
+            data.cols.flags.writeable = False
+            data.vals.flags.writeable = False
+            # stored as a plain Monomial, so passing it to the constructor again validates it
+            object.__setattr__(self, "monomial", Monomial(data.cols, data.vals))
+            return
+        dim = self.basis.dim
         if not isinstance(data, Monomial):
             mat = np.asarray(data, dtype=complex)
             if mat.shape != (dim, dim):
@@ -246,7 +290,7 @@ class LinearOperator:
         vals = np.zeros(self.basis.dim, dtype=complex)
         cols[mono.cols[live]] = np.flatnonzero(live)
         vals[mono.cols[live]] = mono.vals[live].conj()
-        return LinearOperator(self.basis, Monomial(cols, vals))
+        return _closed(self.basis, cols, vals)
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         self._check_same_basis(other)
@@ -258,7 +302,7 @@ class LinearOperator:
         vals = np.zeros(self.basis.dim, dtype=complex)
         cols[live] = right.cols[mid]
         vals[live] = left.vals[live] * right.vals[mid]
-        return LinearOperator(self.basis, Monomial(cols, vals))
+        return _dropping_zeros(self.basis, cols, vals)
 
     def _combine(self, other: "LinearOperator", op: np.ufunc) -> "LinearOperator":
         """Entrywise ``op`` (add or subtract); ValueError unless the column maps merge injectively."""
@@ -276,11 +320,14 @@ class LinearOperator:
         return self._combine(other, np.subtract)
 
     def __neg__(self) -> "LinearOperator":
-        return LinearOperator(self.basis, Monomial(self.monomial.cols, -self.monomial.vals))
+        mono = self.monomial
+        # empty rows keep +0, not -0
+        vals = np.negative(mono.vals, out=np.zeros(self.basis.dim, dtype=complex), where=mono.cols >= 0)
+        return _closed(self.basis, mono.cols, vals)
 
     def __mul__(self, scalar: complex) -> "LinearOperator":
         mono = self.monomial
-        return LinearOperator(self.basis, Monomial(mono.cols, mono.vals * complex(scalar)))
+        return _dropping_zeros(self.basis, mono.cols, mono.vals * complex(scalar))
 
     __rmul__ = __mul__
 
@@ -294,11 +341,11 @@ class LinearOperator:
 
 
 def identity(basis: FockBasis) -> LinearOperator:
-    return LinearOperator(basis, Monomial(np.arange(basis.dim), np.ones(basis.dim, dtype=complex)))
+    return _closed(basis, np.arange(basis.dim, dtype=np.intp), np.ones(basis.dim, dtype=complex))
 
 
 def zero(basis: FockBasis) -> LinearOperator:
-    return LinearOperator(basis, Monomial(np.full(basis.dim, -1), np.zeros(basis.dim, dtype=complex)))
+    return _closed(basis, np.full(basis.dim, -1, dtype=np.intp), np.zeros(basis.dim, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -22,6 +23,18 @@ __all__ = ["Check", "VerificationReport", "merge_reports", "round_float"]
 def round_float(x: float) -> float:
     """Round to 15 significant digits for stable serialized output."""
     return float(format(float(x), ".15g"))
+
+
+def _largest_writable() -> float:
+    """The largest float that ``round_float`` keeps finite (a few ulps below the float maximum)."""
+    x = sys.float_info.max
+    while not math.isfinite(round_float(x)):
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+# |x| above this (or NaN) has no finite 15-digit form, so no report could be written
+_WRITABLE_MAX = _largest_writable()
 
 
 @dataclass(frozen=True)
@@ -49,11 +62,14 @@ class VerificationReport:
             self.add(c.id, c.description, c.residual, c.tolerance)
 
     def add(self, id: str, description: str, residual: float, tolerance: float) -> Check:
-        """Append a check; ids are unique and both numbers must be finite."""
+        """Append a check; ids are unique and both numbers must stay finite at 15 significant digits."""
         if id in self._ids:
             raise ValueError(f"duplicate check id {id!r}")
-        if not (math.isfinite(residual) and math.isfinite(tolerance)):
-            raise ValueError(f"check {id!r} has a non-finite residual or tolerance: {residual}, {tolerance}")
+        if not (abs(residual) <= _WRITABLE_MAX and abs(tolerance) <= _WRITABLE_MAX):
+            raise ValueError(
+                f"check {id!r} has a non-finite residual or tolerance (at 15 significant digits): "
+                f"{residual}, {tolerance}"
+            )
         check = Check(id=id, description=description, residual=float(residual), tolerance=float(tolerance))
         self.checks.append(check)
         self._ids.add(id)

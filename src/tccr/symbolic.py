@@ -661,10 +661,12 @@ def word_norms(family, words: Sequence[Word]) -> np.ndarray:
 def evaluate_poly(family, p: NcPolynomial, mu: float) -> LinearOperator:
     """Substitute family operators for letters and evaluate coefficients at mu."""
     _check_indices(p._terms, len(family.ops))
-    acc = zero(family.basis)
+    # seeded with the first term: zero() + term holds the same values and only re-validates them
+    acc = None
     for word, coeff in p.terms():
-        acc = acc + coeff.evaluate(mu) * evaluate_word(family, word)
-    return acc
+        term = coeff.evaluate(mu) * evaluate_word(family, word)
+        acc = term if acc is None else acc + term
+    return zero(family.basis) if acc is None else acc
 
 
 def eval_and_bridge(p: NcPolynomial, a: "TccrFamily", tol: float = 1e-10) -> VerificationReport:

@@ -43,3 +43,22 @@ def test_traced_faithfulness_writes_the_untraced_report(tmp_path):
         tracer.restore()
     assert code == 0
     assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_traced_roundtrip_writes_the_untraced_report_and_counts_operators(tmp_path):
+    argv = ["roundtrip", "--d", "3", "--mu", "0.5", "--cap", "6"]
+    assert tccr.cli.main([*argv, "--out", str(tmp_path / "plain.json")]) == 0
+    tracer = load_tracer_class()()
+    tracer.install()
+    try:
+        code = tccr.cli.main([*argv, "--out", str(tmp_path / "traced.json")])
+    finally:
+        tracer.restore()
+    assert code == 0
+    assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    # every operator, validated or canonical by construction, passes the traced __post_init__
+    summary = tracer.summary()
+    operators = summary["counters"]["fock.alloc_bytes"] / (16 * 343**2)
+    products = summary["spans"]["fock.matmul"]["calls"] + summary["spans"]["fock.elementwise"]["calls"]
+    assert products > 0
+    assert operators >= products

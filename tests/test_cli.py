@@ -4,6 +4,8 @@ import pytest
 
 from tccr.cli import main
 
+BIG = "1.7976931348623157e308"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -60,6 +62,24 @@ class TestExitCodes:
             main(argv)
         assert err.value.code == 2
         assert "finite" in capsys.readouterr().err
+
+    # finite, but its 15-digit rounding 1.79769313486232e308 is inf, so no report could hold it
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--tol", BIG], ["roundtrip", "--tol", BIG], ["roundtrip", "--rank-tol", BIG],
+        ["irreps", "--phases", BIG], ["irreps", "--phases", "0," + BIG], ["faithfulness", "--phase", BIG],
+    ])
+    def test_value_that_overflows_at_15_digits_is_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "15 significant digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+    def test_largest_value_finite_at_15_digits_is_written(self, capsys, fmt):
+        code, out, _ = run(capsys, "irreps", "--d", "1", "--cap", "2", "--phases", "1.79769313486231e308",
+                           "--tol", "1.79769313486231e308", "--format", fmt)
+        assert code == 0
+        assert "inf" not in out.lower()
 
     @pytest.mark.parametrize("phases", ["", ","])
     def test_empty_phase_list_is_two(self, capsys, phases):

@@ -49,6 +49,23 @@ class TestEnumerateBasis:
         for level in range(cap + 1):
             assert np.array_equal(basis.core_mask(level), (states <= level).all(axis=1))
 
+    @pytest.mark.parametrize("slots,cap", [(1, 1), (1, 6), (2, 3), (3, 4), (4, 2)])
+    def test_core_masks_are_kept_per_basis_and_read_only(self, slots, cap):
+        basis = enumerate_basis(slots, cap)
+        fresh = enumerate_basis(slots, cap)
+        for level in range(cap + 3):
+            mask = basis.core_mask(level)
+            assert np.array_equal(mask, (basis.occupations() <= level).all(axis=1))
+            assert basis.core_mask(level) is mask
+            with pytest.raises(ValueError):
+                mask[0] = False
+        assert basis.core_mask(cap + 2) is basis.core_mask(cap)
+        # the memo is invisible to equality, hashing and repr
+        assert basis == fresh and hash(basis) == hash(fresh)
+        assert repr(basis) == repr(fresh) == f"FockBasis(slots={slots}, cap={cap})"
+        with pytest.raises(ValueError, match="core level"):
+            basis.core_mask(-1)
+
     def test_capacity_error_names_dimension(self):
         with pytest.raises(CapacityError, match="100000"):
             enumerate_basis(5, 9)

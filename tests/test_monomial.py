@@ -178,6 +178,110 @@ class TestArithmetic:
                     combine(y)
 
 
+def validated(basis, cols, vals):
+    """The public constructor's canonical form of raw arrays."""
+    return LinearOperator(basis, Monomial(cols, vals))
+
+
+def raw_adjoint(x):
+    mono, dim = x.monomial, x.basis.dim
+    rows = np.flatnonzero(mono.cols >= 0)
+    cols, vals = np.full(dim, -1), np.zeros(dim, dtype=complex)
+    cols[mono.cols[rows]], vals[mono.cols[rows]] = rows, mono.vals[rows].conj()
+    return cols, vals
+
+
+def raw_product(x, y):
+    left, right = x.monomial, y.monomial
+    live = left.cols >= 0
+    mid = np.where(live, left.cols, 0)
+    cols = np.where(live, right.cols[mid], -1)
+    vals = np.where(live, left.vals * right.vals[mid], 0)
+    return cols, vals
+
+
+def assert_same_operator(got, want):
+    """Equal column maps and bit-identical values (NaN and the sign of 0 included), all read-only."""
+    assert type(got.monomial) is Monomial
+    assert np.array_equal(got.monomial.cols, want.monomial.cols)
+    assert np.array_equal(got.monomial.vals, want.monomial.vals, equal_nan=True)
+    assert np.array_equal(got.monomial.vals.view(np.uint64), want.monomial.vals.view(np.uint64))
+    assert got.monomial.cols.dtype == want.monomial.cols.dtype
+    for array in (got.monomial.cols, got.monomial.vals):
+        assert not array.flags.writeable
+
+
+SCALARS = (0.5 - 2j, 0.0, -0.0, math.inf, -math.inf, complex(0, math.inf), math.nan)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestCanonicalByConstruction:
+    """Closed operations skip validation; their results must equal the validated raw arrays."""
+
+    def check_unary(self, x, scalars=SCALARS):
+        basis = x.basis
+        assert_same_operator(x.adjoint(), validated(basis, *raw_adjoint(x)))
+        assert_same_operator(-x, validated(basis, x.monomial.cols, -x.monomial.vals))
+        for s in scalars:
+            want = validated(basis, x.monomial.cols, x.monomial.vals * complex(s))
+            assert_same_operator(x * s, want)
+            assert_same_operator(s * x, want)
+
+    @pytest.mark.parametrize("d,cap,class_j,phase", all_pools())
+    def test_stage_pool(self, d, cap, class_j, phase):
+        basis, ops = pool(d, cap, class_j, phase)
+        ops = ops + [identity(basis), zero(basis)]
+        for x in ops:
+            self.check_unary(x)
+        for x, y in itertools.product(ops, repeat=2):
+            assert_same_operator(x @ y, validated(basis, *raw_product(x, y)))
+
+    @pytest.mark.parametrize("slots,cap", [(1, 6), (2, 4), (3, 3)])
+    def test_identity_and_zero(self, slots, cap):
+        basis = enumerate_basis(slots, cap)
+        dim = basis.dim
+        assert_same_operator(identity(basis), validated(basis, np.arange(dim), np.ones(dim)))
+        assert_same_operator(zero(basis), validated(basis, np.full(dim, -1), np.zeros(dim)))
+
+    def test_empty_operator(self):
+        basis = enumerate_basis(2, 3)
+        empty = zero(basis)
+        self.check_unary(empty)
+        for other in (empty, identity(basis), random_monomial(basis, np.random.default_rng(0))):
+            for x, y in ((empty, other), (other, empty)):
+                product = x @ y
+                assert_same_operator(product, validated(basis, *raw_product(x, y)))
+                assert np.all(product.monomial.cols == -1)
+
+    def test_subnormal_products_underflow_to_dropped_rows(self):
+        basis = enumerate_basis(1, 3)
+        tiny = LinearOperator(basis, Monomial(np.array([1, 2, 3, -1]), np.array([5e-320, 3e-200, 1e-160j, 0])))
+        for x, y in itertools.product((tiny, tiny.adjoint()), repeat=2):
+            product = x @ y
+            assert_same_operator(product, validated(basis, *raw_product(x, y)))
+        square = tiny @ tiny
+        assert list(square.monomial.cols) == [-1, -1, -1, -1]
+        self.check_unary(tiny, scalars=(1e-200, 5e-324, 0.0))
+        assert np.all((tiny * 1e-200).monomial.cols[:2] == -1)
+
+    @pytest.mark.parametrize("scalar", [math.inf, -math.inf, math.nan, complex(math.nan, 1.0)])
+    def test_non_finite_scalars_leave_empty_rows_empty(self, scalar):
+        rng = np.random.default_rng(3)
+        basis = enumerate_basis(2, 3)
+        for x in (random_monomial(basis, rng), random_monomial(basis, rng, tiny=True), zero(basis)):
+            scaled = x * scalar
+            assert_same_operator(scaled, validated(basis, x.monomial.cols, x.monomial.vals * complex(scalar)))
+            # inf * 0 = NaN in an empty row must not revive it
+            assert np.array_equal(scaled.monomial.cols, x.monomial.cols)
+            blown = scaled @ x.adjoint()
+            assert_same_operator(blown, validated(basis, *raw_product(scaled, x.adjoint())))
+
+    def test_a_stored_monomial_is_validated_again_on_another_basis(self):
+        op = identity(enumerate_basis(1, 3))
+        with pytest.raises(ValueError, match="do not match"):
+            LinearOperator(enumerate_basis(1, 4), op.monomial)
+
+
 class TestDecompositions:
     @pytest.mark.parametrize("d,cap,class_j,phase", all_pools())
     def test_polar_left_matches_svd(self, d, cap, class_j, phase):

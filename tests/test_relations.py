@@ -362,6 +362,20 @@ class TestReportSerialization:
             report.add("a", "bad", residual, tolerance)
         assert report.total == 0
 
+    @pytest.mark.parametrize("residual,tolerance", [(1.7976931348623157e308, 1.0), (0.0, 1.7976931348623157e308),
+                                                    (-1.7976931348623157e308, 1.0)])
+    def test_checks_that_overflow_at_15_digits_are_rejected(self, residual, tolerance):
+        report = VerificationReport(command="x")
+        with pytest.raises(ValueError, match="15 significant digits"):
+            report.add("a", "overflows when written", residual, tolerance)
+        assert report.total == 0
+
+    def test_largest_check_finite_at_15_digits_is_written(self):
+        report = VerificationReport(command="x")
+        report.add("a", "largest writable", 1.797693134862315e308, 1.797693134862315e308)
+        assert "1.79769313486231e+308" in report.to_json()
+        assert VerificationReport.from_json(report.to_json()).to_json() == report.to_json()
+
     def test_json_output_is_strict(self):
         report = self.make_report()
         report.params["bad"] = math.nan
