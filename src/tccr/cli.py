@@ -12,6 +12,7 @@ import argparse
 import math
 import random
 import sys
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -301,7 +302,7 @@ def run_faithfulness(
 def _prefixed(report: VerificationReport, prefix: str) -> VerificationReport:
     out = VerificationReport(command=report.command, params=report.params)
     for c in report.checks:
-        out.add(prefix + c.id, c.description, c.residual, c.tolerance)
+        out._append(replace(c, id=prefix + c.id))
     return out
 
 

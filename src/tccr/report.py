@@ -5,6 +5,18 @@ and its tolerance.  Serialization is canonical: keys sorted, floats rounded
 to 15 significant digits, so identical runs produce identical bytes.  The
 pass flag and the summary are recomputed from residual/tolerance on load
 rather than trusted from the file.
+
+Each check is validated once, by ``VerificationReport.add``: string id and
+description, real (non-bool) residual and tolerance that stay finite at 15
+significant digits, unique id.  Loading goes through ``add``; merging and
+extending reports append the already-validated checks after a duplicate-id
+test only.
+
+``to_json`` writes each check from one fixed template (strings through the C
+string encoder of ``json``, floats as ``repr``) instead of running the
+pure-Python encoder that ``indent`` selects.  Its bytes are those of
+``json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)``
+plus a newline, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -13,8 +25,10 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Mapping
 
 __all__ = ["Check", "VerificationReport", "merge_reports", "round_float"]
@@ -62,22 +76,39 @@ class VerificationReport:
             self.add(c.id, c.description, c.residual, c.tolerance)
 
     def add(self, id: str, description: str, residual: float, tolerance: float) -> Check:
-        """Append a check; ids are unique and both numbers must stay finite at 15 significant digits."""
-        if id in self._ids:
-            raise ValueError(f"duplicate check id {id!r}")
+        """Validate and append a check.
+
+        The id and description must be strings and both numbers real (not bool) and finite at
+        15 significant digits; ids are unique.  Every other way in relies on this one.
+        """
+        if not (isinstance(id, str) and isinstance(description, str)):
+            raise ValueError(
+                f"check {id!r} needs a string id and description, "
+                f"not {type(id).__name__} and {type(description).__name__}"
+            )
+        if not (_is_real(residual) and _is_real(tolerance)):
+            raise ValueError(
+                f"check {id!r} needs real numbers as residual and tolerance: {residual!r}, {tolerance!r}"
+            )
         if not (abs(residual) <= _WRITABLE_MAX and abs(tolerance) <= _WRITABLE_MAX):
             raise ValueError(
                 f"check {id!r} has a non-finite residual or tolerance (at 15 significant digits): "
                 f"{residual}, {tolerance}"
             )
         check = Check(id=id, description=description, residual=float(residual), tolerance=float(tolerance))
-        self.checks.append(check)
-        self._ids.add(id)
+        self._append(check)
         return check
+
+    def _append(self, check: Check) -> None:
+        """Append a check that ``add`` has validated; only the id is tested again, for uniqueness."""
+        if check.id in self._ids:
+            raise ValueError(f"duplicate check id {check.id!r}")
+        self.checks.append(check)
+        self._ids.add(check.id)
 
     def extend(self, other: "VerificationReport") -> None:
         for c in other.checks:
-            self.add(c.id, c.description, c.residual, c.tolerance)
+            self._append(c)
 
     @property
     def total(self) -> int:
@@ -121,7 +152,21 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        """The bytes of ``json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False)`` and a newline."""
+        head = json.dumps(
+            {
+                "command": self.command,
+                "params": _canonical_params(self.params),
+                "summary": {"total": self.total, "passed": self.passed},
+            },
+            sort_keys=True,
+            indent=2,
+            allow_nan=False,
+        )
+        checks = [_check_json(c) for c in self.sorted_checks()]
+        listed = "[\n" + ",\n".join(checks) + "\n  ]" if checks else "[]"
+        # "checks" sorts before every other top-level key, so it opens the object
+        return '{\n  "checks": ' + listed + ",\n" + head[2:] + "\n"
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "VerificationReport":
@@ -167,6 +212,27 @@ class VerificationReport:
             )
         lines += ["", f"summary: {self.passed}/{self.total} passed", ""]
         return "\n".join(lines)
+
+
+def _is_real(x: object) -> bool:
+    # float and int answer first; the abstract numbers.Real test is slow enough to show in ``add``
+    return isinstance(x, (float, int, numbers.Real)) and not isinstance(x, bool)
+
+
+def _check_json(c: Check) -> str:
+    """One element of the indent-2 "checks" array, keys in sorted order."""
+    residual, tolerance = round_float(c.residual), round_float(c.tolerance)
+    if not (math.isfinite(residual) and math.isfinite(tolerance)):
+        raise ValueError(f"check {c.id!r} has a non-finite residual or tolerance: {residual}, {tolerance}")
+    return (
+        "    {\n"
+        f'      "description": {encode_basestring_ascii(c.description)},\n'
+        f'      "id": {encode_basestring_ascii(c.id)},\n'
+        f'      "pass": {"true" if c.passed else "false"},\n'
+        f'      "residual": {residual!r},\n'
+        f'      "tolerance": {tolerance!r}\n'
+        "    }"
+    )
 
 
 def _reject_constant(name: str) -> float:
