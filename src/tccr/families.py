@@ -33,8 +33,6 @@ __all__ = [
     "build_irrep",
     "build_fock_tccr",
     "build_qccr_single",
-    "shift_matrix",
-    "defect_matrix",
     "geometric_sum",
 ]
 
@@ -114,20 +112,6 @@ class TccrFamily(_LetterTables):
     @property
     def d(self) -> int:
         return len(self.ops)
-
-
-def shift_matrix(cap: int) -> np.ndarray:
-    """One-slot raise: e_n -> e_{n+1} for n < cap, e_cap -> 0."""
-    mat = np.zeros((cap + 1, cap + 1), dtype=complex)
-    for n in range(cap):
-        mat[n + 1, n] = 1.0
-    return mat
-
-
-def defect_matrix(cap: int) -> np.ndarray:
-    """1 - S S^* on one slot: the projection onto the slot vacuum e_0."""
-    s = shift_matrix(cap)
-    return np.eye(cap + 1, dtype=complex) - s @ s.conj().T
 
 
 def build_irrep(spec: IrrepSpec) -> GeneratorFamily:

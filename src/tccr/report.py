@@ -8,9 +8,9 @@ rather than trusted from the file.
 
 Each check is validated once, by ``VerificationReport.add``: string id and
 description, real (non-bool) residual and tolerance that stay finite at 15
-significant digits, unique id.  Loading goes through ``add``; merging and
-extending reports append the already-validated checks after a duplicate-id
-test only.
+significant digits, unique id; the ``Check`` holds both rounded to those 15
+digits.  Loading goes through ``add``; merging and extending reports append
+the already-validated checks after a duplicate-id test only.
 
 ``to_json`` writes each check from one fixed template (strings through the C
 string encoder of ``json``, floats as ``repr``) instead of running the
@@ -53,10 +53,16 @@ _WRITABLE_MAX = _largest_writable()
 
 @dataclass(frozen=True)
 class Check:
+    """A named check whose residual and tolerance are held at the 15 digits written, so ``passed`` matches the file."""
+
     id: str
     description: str
     residual: float
     tolerance: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "residual", round_float(self.residual))
+        object.__setattr__(self, "tolerance", round_float(self.tolerance))
 
     @property
     def passed(self) -> bool:
@@ -95,7 +101,7 @@ class VerificationReport:
                 f"check {id!r} has a non-finite residual or tolerance (at 15 significant digits): "
                 f"{residual}, {tolerance}"
             )
-        check = Check(id=id, description=description, residual=float(residual), tolerance=float(tolerance))
+        check = Check(id, description, residual, tolerance)
         self._append(check)
         return check
 
@@ -142,8 +148,8 @@ class VerificationReport:
                 {
                     "id": c.id,
                     "description": c.description,
-                    "residual": round_float(c.residual),
-                    "tolerance": round_float(c.tolerance),
+                    "residual": c.residual,
+                    "tolerance": c.tolerance,
                     "pass": c.passed,
                 }
                 for c in self.sorted_checks()
@@ -189,8 +195,8 @@ class VerificationReport:
                 [
                     c.id,
                     c.description,
-                    repr(round_float(c.residual)),
-                    repr(round_float(c.tolerance)),
+                    repr(c.residual),
+                    repr(c.tolerance),
                     "true" if c.passed else "false",
                 ]
             )
@@ -208,7 +214,7 @@ class VerificationReport:
         for c in self.sorted_checks():
             status = "pass" if c.passed else "FAIL"
             lines.append(
-                f"| {c.id} | {c.description} | {round_float(c.residual):.3e} | {round_float(c.tolerance):.3e} | {status} |"
+                f"| {c.id} | {c.description} | {c.residual:.3e} | {c.tolerance:.3e} | {status} |"
             )
         lines += ["", f"summary: {self.passed}/{self.total} passed", ""]
         return "\n".join(lines)
@@ -221,16 +227,15 @@ def _is_real(x: object) -> bool:
 
 def _check_json(c: Check) -> str:
     """One element of the indent-2 "checks" array, keys in sorted order."""
-    residual, tolerance = round_float(c.residual), round_float(c.tolerance)
-    if not (math.isfinite(residual) and math.isfinite(tolerance)):
-        raise ValueError(f"check {c.id!r} has a non-finite residual or tolerance: {residual}, {tolerance}")
+    if not (math.isfinite(c.residual) and math.isfinite(c.tolerance)):
+        raise ValueError(f"check {c.id!r} has a non-finite residual or tolerance: {c.residual}, {c.tolerance}")
     return (
         "    {\n"
         f'      "description": {encode_basestring_ascii(c.description)},\n'
         f'      "id": {encode_basestring_ascii(c.id)},\n'
         f'      "pass": {"true" if c.passed else "false"},\n'
-        f'      "residual": {residual!r},\n'
-        f'      "tolerance": {tolerance!r}\n'
+        f'      "residual": {c.residual!r},\n'
+        f'      "tolerance": {c.tolerance!r}\n'
         "    }"
     )
 

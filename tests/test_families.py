@@ -8,12 +8,12 @@ from tccr.families import (
     build_fock_tccr,
     build_irrep,
     build_qccr_single,
-    defect_matrix,
     geometric_sum,
-    shift_matrix,
 )
 from tccr.fock import core_residual, identity, operator_norm, zero
-from tccr.relations import pi_residuals, tccr_residuals
+from tccr.relations import fock_generator_slots, pi_residuals, tccr_residuals
+
+from kron_reference import defect_matrix, shift_matrix, tensor_word_kron
 
 PHASES = (0.0, math.pi / 3, math.pi)
 
@@ -38,10 +38,9 @@ class TestBuildIrrep:
     def test_top_class_d2_matches_explicit_tensors(self):
         cap = 4
         fam = build_irrep(IrrepSpec(d=2, class_j=2, cap=cap))
-        s, dm = shift_matrix(cap), defect_matrix(cap)
-        eye = np.eye(cap + 1)
-        assert np.array_equal(fam.ops[0].matrix, np.kron(s, eye))
-        assert np.array_equal(fam.ops[1].matrix, np.kron(dm, s))
+        # t1 = S (x) 1 and t2 = D (x) S
+        for i, op in enumerate(fam.ops, start=1):
+            assert np.array_equal(op.matrix, tensor_word_kron(fock_generator_slots(2, i), cap))
 
     def test_class_one_with_phase_pi(self):
         cap = 4

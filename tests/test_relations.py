@@ -1,10 +1,13 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tccr import relations
+from tccr.cli import main
 from tccr.families import IrrepSpec, TccrFamily, build_fock_tccr, build_irrep
 from tccr.fock import core_residual, operator_norm
 from tccr.relations import (
@@ -30,7 +33,9 @@ from tccr.relations import (
 from tccr.reconstruct import isometries_from_generators
 from tccr.report import Check, VerificationReport, merge_reports
 from tccr.symbolic import NcPolynomial, evaluate_poly, gen, gen_star
-from tccr.families import build_qccr_single, defect_matrix, shift_matrix
+from tccr.families import build_qccr_single
+
+from kron_reference import defect_matrix, shift_matrix, tensor_word_kron
 
 
 class TestRelationSets:
@@ -224,14 +229,14 @@ class TestSlotCollapse:
         scalar, collapsed = apply_collapse(fock_generator_slots(2, 1), 1, 0.7)
         assert scalar == 1.0
         assert collapsed == ((SHIFT,),)
-        assert np.array_equal(tensor_word_matrix(collapsed, 5), shift_matrix(5))
+        assert np.array_equal(tensor_word_matrix(collapsed, 5).matrix, shift_matrix(5))
 
     def test_phase_slot_becomes_scalar(self):
         phase = 1.1
         scalar, collapsed = apply_collapse(fock_generator_slots(2, 2), 1, phase)
         assert scalar == pytest.approx(np.exp(1j * phase))
         assert collapsed == ((DEFECT,),)
-        assert np.array_equal(tensor_word_matrix(collapsed, 5), defect_matrix(5))
+        assert np.array_equal(tensor_word_matrix(collapsed, 5).matrix, defect_matrix(5))
 
     def test_defect_beyond_phase_slot_kills_generator(self):
         scalar, _ = apply_collapse(fock_generator_slots(3, 3), 1, 0.3)
@@ -267,7 +272,57 @@ class TestSlotCollapse:
             suv, wuv = apply_collapse(tensor_word_product(u, v), class_j, phase)
             lhs = suv * tensor_word_matrix(wuv, cap)
             rhs = (su * tensor_word_matrix(wu, cap)) @ (sv * tensor_word_matrix(wv, cap))
-            assert np.max(np.abs(lhs - rhs)) <= 1e-10
+            assert np.max(np.abs(lhs.matrix - rhs.matrix)) <= 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+    def test_index_arithmetic_matches_the_kron_reference_bitwise(self, d, cap):
+        rng = random.Random(f"{d}:{cap}")
+        symbols = (SHIFT, SHIFT_STAR, DEFECT)
+        words = [(), ((),) * d, tuple((symbol,) for symbol in symbols[:d])]
+        words += [((symbol,),) * d for symbol in symbols]
+        words += [
+            tuple(tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3))) for _ in range(d))
+            for _ in range(20)
+        ]
+        for word in words:
+            op = tensor_word_matrix(word, cap)
+            assert op.basis.slots == max(len(word), 1)
+            assert op.matrix.tobytes() == tensor_word_kron(word, cap).tobytes(), word
+
+    @pytest.mark.parametrize("phase", [1e6, 1e308, -1.0, 7.0])
+    def test_phase_outside_one_period_collapses_exactly(self, phase):
+        # the target family reduces the phase mod 2 pi, and the collapse uses the same reduced phase
+        for d in (2, 3):
+            for class_j in range(d):
+                report = collapse_check(d, class_j, phase, 4)
+                assert [c.residual for c in report.checks] == [0.0] * d, (d, class_j)
+
+    def test_wrong_collapse_image_fails_instead_of_raising(self, monkeypatch, tmp_path):
+        # S* where S belongs: the difference S* - S is not monomial, so it is measured densely
+        original = apply_collapse
+
+        def starred(word, class_j, phase):
+            scalar, kept = original(word, class_j, phase)
+            return scalar, tuple(tuple(SHIFT_STAR if s == SHIFT else s for s in slot) for slot in kept)
+
+        monkeypatch.setattr(relations, "apply_collapse", starred)
+        report = collapse_check(2, 1, 0.0, 4)
+        assert [c.passed for c in report.checks] == [False, True]
+        assert report.checks[0].residual == pytest.approx(math.sqrt(3), abs=1e-12)
+        argv = ["faithfulness", "--d", "2", "--cap", "4", "--words", "3"]
+        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 1
+
+    def test_collapse_builds_no_dense_matrix(self):
+        # dim 2401 on 4 slots: one dense complex matrix would be 92 MB
+        tracemalloc.start()
+        try:
+            report = collapse_check(5, 4, 0.5, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed
+        assert peak < 60 * 2**20, peak / 2**20
 
 
 class TestReportSerialization:
