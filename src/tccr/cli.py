@@ -19,7 +19,12 @@ import numpy as np
 
 from .families import IrrepSpec, build_fock_tccr, build_irrep, build_qccr_single
 from .fock import core_residual, identity, polar_left, psd_sqrt
-from .reconstruct import roundtrip_check, verify_stage_identities, weighted_range_series
+from .reconstruct import (
+    _require_power_cap,
+    roundtrip_check,
+    verify_stage_identities,
+    weighted_range_series,
+)
 from .relations import (
     collapse_check,
     norm_bound_check,
@@ -30,7 +35,7 @@ from .relations import (
 )
 from .report import VerificationReport, merge_reports, round_float
 from .symbolic import (
-    eval_and_bridge,
+    _add_bridge_checks,
     evaluate_mu_matrix,
     gram_matrix,
     random_polynomial,
@@ -196,6 +201,8 @@ def run_verify(d: int, mu: float, cap: int, tol: float) -> VerificationReport:
 
 def run_roundtrip(d: int, mu: float, cap: int, rank_tol: float, tol: float | None) -> VerificationReport:
     """Both constructions and the stage suite; ``tol``, when given, is every check's tolerance."""
+    # the stage suite's cap rule, checked before either family is built
+    _require_power_cap(cap)
     fock = build_irrep(IrrepSpec(d=d, class_j=d, cap=cap))
     fam = build_fock_tccr(d, mu, cap)
     override = {} if tol is None else {"tolerance": tol}
@@ -270,10 +277,8 @@ def run_gram(
     families = {mu: build_fock_tccr(d, mu, cap) for mu in (-0.9, 0.3, 0.7)}
     for k in range(bridge_count):
         poly = random_polynomial(d, max_degree, random.Random(f"{seed}:{k}"))
-        for mu, fam in families.items():
-            part = eval_and_bridge(poly, fam, tol=tol)
-            check = part.checks[0]
-            report.add(f"bridge/p{k:03d}/mu{mu:+.2f}", check.description, check.residual, check.tolerance)
+        checks = {f"bridge/p{k:03d}/mu{mu:+.2f}": fam for mu, fam in families.items()}
+        _add_bridge_checks(report, poly, d, checks, tol)
     return report
 
 

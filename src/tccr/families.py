@@ -59,7 +59,9 @@ class IrrepSpec:
             raise ValueError(f"class_j must lie in 0..{self.d}, got {self.class_j}")
         if self.cap < 1:
             raise ValueError(f"cap must be >= 1, got {self.cap}")
-        object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
+        phase = float(self.phase) % TWO_PI
+        # a tiny negative phase rounds up to the modulus itself, which is the phase 0
+        object.__setattr__(self, "phase", 0.0 if phase == TWO_PI else phase)
 
     @property
     def slots(self) -> int:

@@ -174,6 +174,12 @@ def generators_from_isometries(t: GeneratorFamily, mu: float) -> tuple[TccrFamil
     return TccrFamily(basis=t.basis, ops=ops, mu=float(mu)), trace
 
 
+def _require_power_cap(cap: int, max_power: int = 3) -> None:
+    """Raise unless ``cap`` holds the occupations ``2 * max_power`` that the power identities reach."""
+    if 2 * max_power > cap:
+        raise TruncationError(f"power identities up to {max_power} need cap >= {2 * max_power}, got {cap}")
+
+
 def verify_stage_identities(
     t: GeneratorFamily,
     mu: float,
@@ -189,10 +195,7 @@ def verify_stage_identities(
     the diagonal deformed relation at every stage level, and the three
     cross-stage exchange identities.
     """
-    if 2 * max_power > t.basis.cap:
-        raise TruncationError(
-            f"power identities up to {max_power} need cap >= {2 * max_power}, got {t.basis.cap}"
-        )
+    _require_power_cap(t.basis.cap, max_power)
     family, trace = generators_from_isometries(t, mu)
     d = t.d
     stages = trace.stages

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import tccr.cli
 from tccr.cli import main
 
 BIG = "1.7976931348623157e308"
@@ -42,6 +43,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify", "--d", "5", "--cap", "9")
         assert code == 2
         assert "exceeds limit" in err
+
+    @pytest.mark.parametrize("d", ["2", "5"])
+    def test_roundtrip_small_cap_is_two_before_any_build(self, capsys, monkeypatch, d):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a family was built before the cap was checked")
+
+        monkeypatch.setattr(tccr.cli, "build_irrep", refuse)
+        monkeypatch.setattr(tccr.cli, "build_fock_tccr", refuse)
+        code, out, err = run(capsys, "roundtrip", "--d", d, "--cap", "4")
+        assert code == 2 and out == ""
+        assert "power identities up to 3 need cap >= 6, got 4" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-8"])
     @pytest.mark.parametrize(

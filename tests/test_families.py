@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tccr.families import (
+    TWO_PI,
     IrrepSpec,
     build_fock_tccr,
     build_irrep,
@@ -28,6 +29,12 @@ class TestIrrepSpec:
     def test_phase_normalized(self):
         spec = IrrepSpec(d=1, class_j=1, cap=4, phase=2 * math.pi + 1.0)
         assert spec.phase == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("phase", [-1e-17, -1e-300])
+    def test_tiny_negative_phase_is_zero(self, phase):
+        # float(phase) % TWO_PI rounds to TWO_PI itself here, outside [0, 2 pi)
+        spec = IrrepSpec(d=2, class_j=1, cap=4, phase=phase)
+        assert spec.phase == 0.0 and 0.0 <= spec.phase < TWO_PI
 
     def test_slots(self):
         assert IrrepSpec(d=3, class_j=0, cap=4).slots == 1

@@ -9,9 +9,16 @@ Campaigns that go through ``numpy.linalg.eigvalsh`` (``gram`` and ``demo``)
 are left out: LAPACK builds may differ in the last digit of an eigenvalue.
 The campaigns below use only elementwise IEEE arithmetic (products, sums,
 square roots and moduli), which does not depend on the BLAS build.
+
+Of a ``gram`` campaign, the parts that do not go through LAPACK are pinned:
+the printed pairing matrix (exact rationals) and the ``bridge/*`` rows (id,
+description, residual, tolerance).  Its ``positivity/*`` rows are smallest
+eigenvalues, so they stay unpinned.  These digests were taken before the
+bridge read only the vacuum column of the word kernel.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -32,3 +39,30 @@ def test_report_bytes_are_pinned(tmp_path, campaign):
     out = tmp_path / "report.json"
     assert main([*campaign.split(), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[campaign]
+
+
+# campaign -> (digest of the printed matrix, digest of the bridge rows)
+GRAM_GOLDEN = {
+    "gram --d 2 --level 4 --cap 5 --bridge-count 20 --seed 70": (
+        "0b2904a69275e2a70871d7d3cbf2c1dcc7a7c6bb6985bbef62d4a185bcbaf278",
+        "85df83b0e19855c643d365e081c284c5913b42506f53491d8cf0b6ccf765bdd8",
+    ),
+    "gram --d 3 --level 3 --cap 5 --bridge-count 20 --seed 70": (
+        "0b5468bfa50864d17dccb41ebce215f035d89e6991556adcda8ab0b5d28945d9",
+        "ab9a1b256fb04def42a1121a5c03aadaecd4e2c4c61ec640caf64e819eb15b35",
+    ),
+}
+
+
+@pytest.mark.parametrize("campaign", list(GRAM_GOLDEN))
+def test_gram_matrix_and_bridge_bytes_are_pinned(tmp_path, capsys, campaign):
+    out = tmp_path / "report.json"
+    assert main([*campaign.split(), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    checks = json.loads(out.read_bytes())["checks"]
+    keys = ("id", "description", "residual", "tolerance")
+    rows = [[c[k] for k in keys] for c in checks if c["id"].startswith("bridge/")]
+    assert len(rows) == 60
+    matrix_digest, bridge_digest = GRAM_GOLDEN[campaign]
+    assert hashlib.sha256(printed.encode()).hexdigest() == matrix_digest
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == bridge_digest

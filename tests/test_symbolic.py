@@ -235,6 +235,23 @@ class TestGramMatrix:
         k = words.index((gen(2), gen(1)))
         assert mat[k, k] == 0.0
 
+    def test_zero_pairings_are_not_evaluated(self, monkeypatch):
+        _, entries = gram_matrix(3, 3)
+        want = {mu: np.array([[e.evaluate(mu) for e in row] for row in entries]) for mu in MU_SAMPLES}
+        calls = Counter()
+        evaluate = MuPoly.evaluate
+
+        def counting(self, mu):
+            calls[mu] += 1
+            return evaluate(self, mu)
+
+        monkeypatch.setattr(MuPoly, "evaluate", counting)
+        nonzero = sum(not e.is_zero for row in entries for e in row)
+        assert (nonzero, len(entries) ** 2) == (112, 1600)
+        for mu in MU_SAMPLES:
+            got = evaluate_mu_matrix(entries, mu)
+            assert got.dtype == float and np.array_equal(got, want[mu]) and calls[mu] == nonzero
+
     @pytest.mark.parametrize("level,d", [(2, 2), (3, 2), (4, 1), (4, 2)])
     def test_positivity_at_sampled_mu(self, level, d):
         _, entries = gram_matrix(level, d)
@@ -560,3 +577,84 @@ class TestEvalAndBridge:
             poly = random_polynomial(2, 5, random.Random(f"bridge:{k}"))
             report = eval_and_bridge(poly, fam)
             assert report.all_passed, (mu, k, report.worst())
+
+
+def full_product_vacuum_value(family, p):
+    """Test-only reference: entry [0, 0] of every word's full ``evaluate_word`` product, in term order."""
+    numeric = 0j
+    for w, coeff in p.terms():
+        mono = evaluate_word(family, w).monomial
+        # row 0 holds its one value in column cols[0]
+        if mono.cols[0] == 0:
+            numeric += coeff.evaluate(family.mu) * mono.vals[0]
+    return numeric
+
+
+def bits(z):
+    return np.complex128(z).tobytes()
+
+
+class TestVacuumColumnBridge:
+    """The bridge's vacuum-column kernel against the full word products it replaced."""
+
+    def test_matches_the_full_products_bitwise(self):
+        rng = random.Random("vacuum-column")
+        families = {}
+        for k in range(200):
+            d, cap, mu = rng.randint(1, 3), rng.randint(5, 8), rng.choice([-0.9, 0.3, 0.7])
+            if (d, cap, mu) not in families:
+                families[d, cap, mu] = build_fock_tccr(d, mu, cap)
+            fam = families[d, cap, mu]
+            p = random_polynomial(d, 5, rng)
+            report = eval_and_bridge(p, fam)
+            assert report.all_passed, (k, report.worst())
+            got = tccr.symbolic._model_vacuum_value(fam, p.terms())
+            assert bits(got) == bits(full_product_vacuum_value(fam, p)), (k, d, cap, mu, p)
+
+    @pytest.mark.parametrize("d,j", [(1, 0), (2, 1), (3, 2)])
+    def test_complex_entries_match_bitwise(self, d, j):
+        # a phase class puts non-real values on the vacuum column
+        irrep = build_irrep(IrrepSpec(d, j, 6, math.pi / 3))
+        fam = TccrFamily(basis=irrep.basis, ops=irrep.ops, mu=0.3)
+        rng = random.Random(f"vacuum-column:{d}:{j}")
+        values = []
+        for _ in range(30):
+            p = random_polynomial(d, 6, rng)
+            got = tccr.symbolic._model_vacuum_value(fam, p.terms())
+            assert bits(got) == bits(full_product_vacuum_value(fam, p)), p
+            values.append(got)
+        assert any(v.imag for v in values)
+
+    @pytest.mark.parametrize("mu", [-0.9, 0.3, 0.7])
+    def test_edge_polynomials(self, mu):
+        fam = build_fock_tccr(2, mu, 5)
+        edges = {
+            "zero": NcPolynomial.zero(),
+            "empty word": NcPolynomial.from_word((), MuPoly.mu(1, Fraction(3, 2))),
+            # a1* kills the vacuum, so the second word's vacuum column dies on its first letter
+            "killed": word(gen_star(1), gen(1)) + word(gen(1), gen_star(1)),
+            "killed only": word(gen(2), gen_star(1)),
+        }
+        for name, p in edges.items():
+            got = tccr.symbolic._model_vacuum_value(fam, p.terms())
+            assert bits(got) == bits(full_product_vacuum_value(fam, p)), name
+            assert eval_and_bridge(p, fam).all_passed, name
+        assert tccr.symbolic._model_vacuum_value(fam, []) == 0j
+        assert bits(tccr.symbolic._model_vacuum_value(fam, edges["killed only"].terms())) == bits(0j)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_value_that_no_row_reaches(self):
+        basis = enumerate_basis(1, 3)
+        raise_ = LinearOperator(basis, Monomial(np.array([-1, 0, 1, 2]), np.array([0, 1, np.inf, 1])))
+        vacuum = LinearOperator(basis, Monomial(np.array([0, -1, -1, -1]), np.array([1, 0, 0, 0])))
+        fam = TccrFamily(basis=basis, ops=(raise_, vacuum), mu=0.5)
+        # column 1 of a1 holds the infinite entry; the vacuum column never reaches it
+        p = word(gen(2), gen(1)) + word(gen(2)) + NcPolynomial.one()
+        got = tccr.symbolic._model_vacuum_value(fam, p.terms())
+        assert got == 2 and bits(got) == bits(full_product_vacuum_value(fam, p))
+
+    def test_fills_no_word_cache(self):
+        fam = build_fock_tccr(3, 0.3, 6)
+        for k in range(20):
+            assert eval_and_bridge(seeded_poly(f"cache:{k}", d=3, max_degree=6), fam).all_passed
+        assert fam.word_cache == {}
