@@ -73,18 +73,17 @@ class _LetterTables:
 
     @functools.cached_property
     def letter_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Column forms of a_1, a_1*, .., a_d, a_d* and the identity, as (2d+1, dim+1) arrays.
+        """Column forms of a_1, a_1*, .., a_d, a_d*, as (2d, dim+1) arrays.
 
         Column c of letter k holds ``vals[k, c]`` in row ``rows[k, c]``, and the last column is
         a dead entry (-1, 0); a letter's column form is its adjoint's row form, conjugated.
         """
         dim = self.basis.dim
-        rows = np.full((2 * len(self.ops) + 1, dim + 1), -1, dtype=np.intp)
+        rows = np.full((2 * len(self.ops), dim + 1), -1, dtype=np.intp)
         vals = np.zeros(rows.shape, dtype=complex)
         for k, op in enumerate(self.ops):
             for code, mono in ((2 * k, op.adjoint().monomial), (2 * k + 1, op.monomial)):
                 rows[code, :dim], vals[code, :dim] = mono.cols, mono.vals.conj()
-        rows[-1, :dim], vals[-1, :dim] = np.arange(dim), 1.0
         return rows, vals
 
 

@@ -27,6 +27,7 @@ from .families import (
 from .fock import LinearOperator, Monomial, core_residual, enumerate_basis, identity, operator_norm
 from .report import VerificationReport
 from .symbolic import (
+    _word_norms_each,
     MuPoly,
     NcPolynomial,
     Word,
@@ -34,7 +35,6 @@ from .symbolic import (
     gen,
     gen_star,
     random_word,
-    word_norms,
     word_str,
 )
 
@@ -317,9 +317,11 @@ def norm_domination_sample(
             "tolerance": tolerance,
         },
     )
-    fock_norms = word_norms(fock, words).tolist()
-    class_norms = {j: word_norms(fam, words).tolist() for j, fam in class_families.items()}
-    ladder_norms = [(fam.basis.cap, word_norms(fam, words).tolist()) for fam in ladder]
+    # one suffix plan of the words serves every family, evaluated one family at a time
+    families = [fock, *class_families.values(), *ladder]
+    fock_norms, *rest = (norms.tolist() for norms in _word_norms_each(families, words))
+    class_norms = dict(zip(class_families, rest))
+    ladder_norms = [(fam.basis.cap, norms) for fam, norms in zip(ladder, rest[len(class_families) :])]
     for k, word in enumerate(words):
         text = word_str(word, "t")
         for j in classes:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -607,42 +607,106 @@ def parse_polynomial(text: str, d: int) -> NcPolynomial:
 # ---------------------------------------------------------------------------
 
 
-# most (word, basis vector) entries one kernel block holds
+# most (node, basis vector) entries one kernel level holds
 _WORD_BLOCK_ENTRIES = 1 << 20
 
 
-def _word_blocks(
-    family, words: Sequence[Word], columns: np.ndarray | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Products of many words, right to left over the letter tables: ``L1 (L2 (.. (Ln 1)))``.
+# one level of a suffix plan: (codes, parents, ends, nodes), described in _suffix_plan
+_Level = tuple[np.ndarray, "np.ndarray | None", "np.ndarray | None", "np.ndarray | None"]
 
-    Only the basis columns ``columns`` are carried (default: all of them); each
-    column's gathers and products are independent of the others, so a subset
-    holds the same bits as those columns of the full product.  Yields
-    ``(rows, vals)`` per block of words: column ``columns[c]`` of the k-th
-    word's product holds ``vals[k, c]`` in row ``rows[k, c]``, or nothing when
-    that row is -1.
+
+def _suffix_plan(codes: Sequence[list[int]], start: int) -> list[_Level]:
+    """Levels of the distinct suffixes of words given as letter codes right to left, numbered from ``start``.
+
+    Level k lists the distinct suffixes of length k as ``(codes, parents, ends,
+    nodes)``: node i is letter code ``codes[i, 0]`` followed by node
+    ``parents[i]`` of level k - 1, or by its one node when ``parents`` is None;
+    level 0 is the empty suffix alone.  Word ``ends[m]`` of the list is node
+    ``nodes[m]``, and both are None when no word ends at level k.
     """
-    d, dim = len(family.ops), family.basis.dim
-    _check_indices(words, d)
-    if columns is None:
-        columns = np.arange(dim)
+    width = max(map(len, codes), default=0)
+    keys: list[dict[tuple[int, int], int]] = [{} for _ in range(width + 1)]
+    ends: list[list[tuple[int, int]]] = [[] for _ in range(width + 1)]
+    for pos, word in enumerate(codes, start):
+        node = 0
+        for level, code in zip(keys[1:], word):
+            node = level.setdefault((code, node), len(level))
+        ends[len(word)].append((pos, node))
+    # a dict keeps insertion order, so node i is its level's i-th key; all pairs go in one array
+    flat = [x for level in (*keys, *ends) for pair in level for x in pair]
+    pairs = np.array(flat, dtype=np.intp).reshape(-1, 2)
+    node_codes, first, second = pairs[:, :1], pairs[:, 0], pairs[:, 1]
+    levels, key_start, end_start = [], 0, sum(map(len, keys))
+    for k, (level, done) in enumerate(zip(keys, ends)):
+        key_stop, end_stop = key_start + len(level), end_start + len(done)
+        shared = k > 1 and len(keys[k - 1]) > 1
+        levels.append((
+            node_codes[key_start:key_stop],
+            second[key_start:key_stop] if shared else None,
+            first[end_start:end_stop] if done else None,
+            second[end_start:end_stop] if done else None,
+        ))
+        key_start, end_start = key_stop, end_stop
+    return levels
+
+
+class _SuffixPlans:
+    """Suffix plans of one word list, shared by every family it is evaluated in.
+
+    Words are split into blocks of at most ``_WORD_BLOCK_ENTRIES // columns``
+    words, so no level holds more entries than that; the plans of each block
+    size are built on first use.
+    """
+
+    def __init__(self, words: Sequence[Word]):
+        self.words = words
+        # a_i is code 2i - 2 and a_i* is code 2i - 1
+        self.codes = [[2 * l.index - 2 + l.starred for l in reversed(w)] for w in words]
+        self._checked: set[int] = set()
+        self._blocks: dict[int, list[list[_Level]]] = {}
+
+    def blocks(self, d: int, columns: int) -> list[list[_Level]]:
+        if d not in self._checked:
+            _check_indices(self.words, d)
+            self._checked.add(d)
+        size = max(1, min(len(self.codes), _WORD_BLOCK_ENTRIES // columns))
+        if size not in self._blocks:
+            starts = range(0, len(self.codes), size)
+            self._blocks[size] = [_suffix_plan(self.codes[s : s + size], s) for s in starts]
+        return self._blocks[size]
+
+
+def _word_levels(family, plans: _SuffixPlans, columns: np.ndarray, read: Callable[..., None]) -> None:
+    """Products of distinct suffixes over the letter tables, each one gather into its parent.
+
+    Calls ``read(rows, vals, ends, nodes)`` for each level where words end:
+    column ``columns[c]`` of node i's product holds ``vals[i, c]`` in row
+    ``rows[i, c]``, or nothing when that row is -1, and word ``ends[m]`` is node
+    ``nodes[m]``.  ``read`` keeps no reference, so a level is freed as soon as
+    the next one no longer needs it.  Every product runs ``L1 (L2 (.. (Ln 1)))``
+    as it would for its word alone, and each column's gathers and products are
+    independent of the others, so a subset of columns holds the same bits as
+    those columns of the full product.
+    """
+    dim = family.basis.dim
     table_rows, table_vals = (t.ravel() for t in family.letter_tables)
-    per_block = max(1, _WORD_BLOCK_ENTRIES // len(columns))
-    for start in range(0, len(words), per_block):
-        block = words[start : start + per_block]
-        width = max(map(len, block))
-        # letter codes, left-padded with the identity (code 2d)
-        padded = [[2 * d] * (width - len(w)) + [2 * l.index - 2 + l.starred for l in w] for w in block]
-        codes = np.array(padded, dtype=np.intp)
-        rows = columns[None, :]
-        vals = np.ones((len(block), len(columns)), dtype=complex)
-        for k in reversed(range(width)):
-            # row -1 lands on the dead entry (-1, 0) ending the previous table row (the last, for code 0)
-            at = codes[:, k, None] * (dim + 1) + rows
-            np.multiply(table_vals[at], vals, out=vals)
-            rows = table_rows[at]
-        yield rows, vals
+    for block in plans.blocks(len(family.ops), len(columns)):
+        rows, vals = columns[None, :], np.ones((1, len(columns)), dtype=complex)
+        for k, (codes, parents, ends, nodes) in enumerate(block):
+            if k:
+                # row -1 lands on the dead entry (-1, 0) ending the previous table row (the last, for code 0)
+                offsets = codes * (dim + 1)
+                if parents is None:
+                    # a level of one node broadcasts to all of its children
+                    at = offsets + rows
+                else:
+                    at, vals = rows[parents], vals[parents]
+                    at += offsets
+                rows = table_rows[at]
+                # out of place: numpy's in-place loop for a lone entry rounds without the fused multiply-add
+                vals = table_vals[at] * vals
+            if ends is not None:
+                read(rows, vals, ends, nodes)
 
 
 # basis column 0 is the vacuum
@@ -654,7 +718,12 @@ def evaluate_word(family, word: Word) -> LinearOperator:
     key = tuple(word)
     hit = family.word_cache.get(key)
     if hit is None:
-        rows, vals = (a[0] for a in next(_word_blocks(family, [key])))
+        found = []
+        _word_levels(
+            family, _SuffixPlans([key]), np.arange(family.basis.dim),
+            lambda rows, vals, _, nodes: found.append((rows[nodes[0]], vals[nodes[0]])),
+        )
+        [(rows, vals)] = found
         live = np.flatnonzero(rows >= 0)
         cols, out = np.full(len(rows), -1), np.zeros(len(rows), dtype=complex)
         cols[rows[live]], out[rows[live]] = live, vals[live]
@@ -662,13 +731,29 @@ def evaluate_word(family, word: Word) -> LinearOperator:
     return hit
 
 
+def _word_norms_each(families: Iterable, words: Sequence[Word]) -> Iterator[np.ndarray]:
+    """Operator norms of every word in each family in turn, all from one suffix plan.
+
+    A word's norm is its product's largest entry modulus, read from one norm per
+    node of the level where the word ends.
+    """
+    plans = _SuffixPlans(words)
+    for family in families:
+        norms = np.zeros(len(words))
+
+        def read(rows, vals, ends, nodes):
+            # a dead column holds 0, or NaN where a non-finite value died; neither is an entry
+            moduli = np.abs(vals, out=np.zeros(rows.shape), where=rows >= 0)
+            norms[ends] = moduli.max(axis=1)[nodes]
+
+        _word_levels(family, plans, np.arange(family.basis.dim), read)
+        _require_finite(norms)
+        yield norms
+
+
 def word_norms(family, words: Sequence[Word]) -> np.ndarray:
     """Operator norm of every word's product: its largest entry modulus."""
-    # a dead column holds 0, or NaN where a non-finite value died; neither is an entry
-    norms = [np.abs(np.where(rows >= 0, vals, 0)).max(axis=1) for rows, vals in _word_blocks(family, words)]
-    out = np.concatenate([np.zeros(0), *norms])
-    _require_finite(out)
-    return out
+    return next(_word_norms_each([family], words))
 
 
 def evaluate_poly(family, p: NcPolynomial, mu: float) -> LinearOperator:
@@ -682,17 +767,26 @@ def evaluate_poly(family, p: NcPolynomial, mu: float) -> LinearOperator:
     return zero(family.basis) if acc is None else acc
 
 
-def _model_vacuum_value(a: "TccrFamily", terms: Sequence[tuple[Word, MuPoly]]) -> complex:
+def _model_vacuum_value(
+    a: "TccrFamily", terms: Sequence[tuple[Word, MuPoly]], plans: _SuffixPlans | None = None
+) -> complex:
     """``<vacuum, p vacuum>`` in the truncated model, from one kernel pass over the vacuum column.
 
     Each word contributes its coefficient at ``a.mu`` times its entry [0, 0]:
     the vacuum column's value where that column lands in row 0.  The sum runs
     in ``terms`` order and skips zero entries, as the full product would.
+    ``plans`` holds the suffix plan of ``terms``' words, when one is shared.
     """
-    words = [word for word, _ in terms]
-    blocks = [np.where(rows[:, 0] == 0, vals[:, 0], 0) for rows, vals in _word_blocks(a, words, _VACUUM)]
+    if plans is None:
+        plans = _SuffixPlans([word for word, _ in terms])
+    entries = np.zeros(len(terms), dtype=complex)
+
+    def read(rows, vals, ends, nodes):
+        entries[ends] = np.where(rows[nodes, 0] == 0, vals[nodes, 0], 0)
+
+    _word_levels(a, plans, _VACUUM, read)
     numeric = 0j
-    for (_, coeff), entry in zip(terms, np.concatenate([np.zeros(0, dtype=complex), *blocks])):
+    for (_, coeff), entry in zip(terms, entries):
         if entry:
             numeric += coeff.evaluate(a.mu) * entry
     return numeric
@@ -703,7 +797,8 @@ def _add_bridge_checks(
 ) -> str:
     """Add one bridge check per (id, family) to ``report``, and return ``p``'s text.
 
-    The exact vacuum functional and the text of ``p`` are computed once for all families.
+    The exact vacuum functional, the text of ``p`` and its words' suffix plan are
+    computed once for all families.
     """
     deg = p.degree()
     for a in families.values():
@@ -713,10 +808,12 @@ def _add_bridge_checks(
             )
     exact = vacuum_expectation(p, d)
     terms = p.terms()
+    plans = _SuffixPlans([word for word, _ in terms])
     text = p.to_text()
     description = f"<vacuum, p vacuum> exact vs truncated model for p = {text}"
     for check_id, a in families.items():
-        report.add(check_id, description, abs(_model_vacuum_value(a, terms) - exact.evaluate(a.mu)), tol)
+        residual = abs(_model_vacuum_value(a, terms, plans) - exact.evaluate(a.mu))
+        report.add(check_id, description, residual, tol)
     return text
 
 

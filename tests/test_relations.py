@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tccr.symbolic
 from tccr import relations
 from tccr.cli import main
 from tccr.families import IrrepSpec, TccrFamily, build_fock_tccr, build_irrep
@@ -32,7 +33,7 @@ from tccr.relations import (
 )
 from tccr.reconstruct import isometries_from_generators
 from tccr.report import Check, VerificationReport, merge_reports
-from tccr.symbolic import NcPolynomial, evaluate_poly, gen, gen_star
+from tccr.symbolic import NcPolynomial, evaluate_poly, gen, gen_star, word_norms
 from tccr.families import build_qccr_single
 
 from kron_reference import defect_matrix, shift_matrix, tensor_word_kron
@@ -221,6 +222,34 @@ class TestNormDomination:
         r1 = norm_domination_sample(2, 8, n_words=5, seed=7, monotone_caps=())
         r2 = norm_domination_sample(2, 8, n_words=5, seed=7, monotone_caps=())
         assert r1.to_json() == r2.to_json()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("phase", [0.0, math.pi / 3])
+    def test_one_suffix_plan_gives_the_per_family_norms(self, monkeypatch, d, phase):
+        shared_norms = tccr.symbolic._word_norms_each
+        suffix_plan = tccr.symbolic._suffix_plan
+        seen, plans = [], []
+
+        def record(families, words):
+            families = list(families)
+            for fam, norms in zip(families, shared_norms(families, words)):
+                seen.append((fam, words, norms))
+                yield norms
+
+        def count_plans(*args):
+            plans.append(args)
+            return suffix_plan(*args)
+
+        monkeypatch.setattr(relations, "_word_norms_each", record)
+        monkeypatch.setattr(tccr.symbolic, "_suffix_plan", count_plans)
+        report = norm_domination_sample(d, 6, phase=phase, n_words=200, max_len=6, seed=5)
+        assert report.all_passed, report.worst()
+        # Fock, each class, and the ladder caps 4, 6, 8: every family fits one block, so one plan serves all
+        assert len(seen) == 1 + d + 3
+        assert len(plans) == 1
+        monkeypatch.undo()
+        for fam, words, norms in seen:
+            assert norms.tobytes() == word_norms(fam, words).tobytes()
 
 
 class TestSlotCollapse:

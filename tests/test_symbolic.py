@@ -1,6 +1,8 @@
 import functools
+import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -42,6 +44,9 @@ from tccr.symbolic import (
     word_adjoint,
     word_norms,
 )
+from tccr.symbolic import _word_norms_each
+
+from padded_word_kernel import padded_vacuum_value, padded_word_columns, padded_word_norms
 
 MU_SAMPLES = (-0.9, -0.5, 0.0, 0.3, 0.7, 0.9)
 
@@ -372,7 +377,7 @@ class TestVacuumFunctional:
 
         monkeypatch.setattr(tccr.families, "build_fock_tccr", refuse)
         monkeypatch.setattr(tccr.symbolic, "evaluate_word", refuse)
-        monkeypatch.setattr(tccr.symbolic, "_word_blocks", refuse)
+        monkeypatch.setattr(tccr.symbolic, "_word_levels", refuse)
         monkeypatch.setattr(LinearOperator, "__matmul__", refuse)
         words, entries = gram_matrix(3, 2)
         for r, v in enumerate(words):
@@ -484,6 +489,38 @@ def kernel_words(d):
     return [()] + [random_word(d, 8, rng) for _ in range(300)]
 
 
+def short_words():
+    """Every word of length <= 4 over d = 2, shuffled, with repeats and the empty word in the middle."""
+    letters = (gen(1), gen_star(1), gen(2), gen_star(2))
+    words = [w for n in range(5) for w in itertools.product(letters, repeat=n) if w]
+    random.Random("short-words").shuffle(words)
+    return words[:170] + [(), words[3], words[3]] + words[170:] + words[::17]
+
+
+def short_word_families():
+    for j in range(3):
+        for phase in (0.0, math.pi / 3):
+            yield pytest.param(lambda j=j, phase=phase: build_irrep(IrrepSpec(2, j, 4, phase)),
+                               id=f"j{j}-phi{phase:.2f}")
+    for mu in (-0.9, 0.5):
+        yield pytest.param(lambda mu=mu: build_fock_tccr(2, mu, 4), id=f"fock-mu{mu}")
+
+
+def bridge_terms(words):
+    """Term lists of one to five consecutive words, repeats kept, with mu-monomial coefficients."""
+    out, k = [], 0
+    while k < len(words):
+        size = 1 + k % 5
+        chunk = enumerate(words[k : k + size], k)
+        out.append([(w, MuPoly.mu(m % 3, Fraction(m % 7 - 3 or 1, 1 + m % 2))) for m, w in chunk])
+        k += size
+    return out
+
+
+def with_mu(fam):
+    return fam if isinstance(fam, TccrFamily) else TccrFamily(basis=fam.basis, ops=fam.ops, mu=0.3)
+
+
 class TestWordKernel:
     @pytest.mark.parametrize("make", kernel_families())
     def test_matches_the_fold(self, make):
@@ -549,6 +586,83 @@ class TestWordKernel:
         w = (gen(2), gen(1))
         assert operator_norm(fold_word(fam, w)) == 0.0
         assert word_norms(fam, [w]).tolist() == [operator_norm(evaluate_word(fam, w))] == [0.0]
+
+    @pytest.mark.parametrize("make", short_word_families())
+    @pytest.mark.parametrize("entries", ["default", "one", "two columns"])
+    def test_norms_and_vacuum_values_match_the_padded_kernel(self, monkeypatch, make, entries):
+        fam = make()
+        words = short_words()
+        # one entry per block, or blocks of two words: either way the blocks split shared suffixes
+        sizes = {"default": tccr.symbolic._WORD_BLOCK_ENTRIES, "one": 1, "two columns": 2 * fam.basis.dim}
+        block_entries = sizes[entries]
+        monkeypatch.setattr(tccr.symbolic, "_WORD_BLOCK_ENTRIES", block_entries)
+        got = word_norms(fam, words)
+        assert got.tobytes() == padded_word_norms(fam, words, block_entries).tobytes()
+        bridge = with_mu(fam)
+        values = []
+        for terms in bridge_terms(words):
+            value = tccr.symbolic._model_vacuum_value(bridge, terms)
+            assert bits(value) == bits(padded_vacuum_value(bridge, terms, block_entries)), terms
+            values.append(value)
+        assert any(values) and got.any()
+
+    @pytest.mark.parametrize("make", short_word_families())
+    def test_word_products_match_the_padded_kernel(self, make):
+        fam = make()
+        for w in set(short_words()):
+            got = evaluate_word(fam, w).monomial
+            cols, vals = padded_word_columns(fam, w)
+            assert got.cols.tobytes() == cols.tobytes() and got.vals.tobytes() == vals.tobytes(), w
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_families_match_the_padded_kernel(self, bad):
+        basis = enumerate_basis(1, 3)
+        raise_ = LinearOperator(basis, Monomial(np.array([-1, 0, 1, 2]), np.array([0, 1, bad, 1])))
+        vacuum = LinearOperator(basis, Monomial(np.array([0, -1, -1, -1]), np.array([1, 0, 0, 0])))
+        for ops in [(raise_,), (raise_, vacuum)]:
+            fam = TccrFamily(basis=basis, ops=ops, mu=0.5)
+            letters = [Letter(i, s) for i in range(1, len(ops) + 1) for s in (False, True)]
+            words = [w for n in range(5) for w in itertools.product(letters, repeat=n)]
+            want = padded_word_norms(fam, words)
+            assert not np.isfinite(want).all()
+            with pytest.raises(ValueError, match="non-finite"):
+                word_norms(fam, words)
+            for w, norm in zip(words, want):
+                if np.isfinite(norm):
+                    assert word_norms(fam, [w]).tobytes() == norm.tobytes(), w
+                else:
+                    with pytest.raises(ValueError, match="non-finite"):
+                        word_norms(fam, [w])
+                got = evaluate_word(fam, w).monomial
+                cols, vals = padded_word_columns(fam, w)
+                assert got.cols.tobytes() == cols.tobytes() and got.vals.tobytes() == vals.tobytes(), w
+            for terms in bridge_terms(words):
+                got = tccr.symbolic._model_vacuum_value(fam, terms)
+                want_value = padded_vacuum_value(fam, terms)
+                # the reference's identity padding can turn an infinite part into NaN; both stay non-finite
+                if np.isfinite(want_value):
+                    assert bits(got) == bits(want_value), terms
+                else:
+                    assert not np.isfinite(got), terms
+
+    def test_word_norms_memory_is_bounded_by_the_blocks(self):
+        fam = build_irrep(IrrepSpec(5, 5, 6))  # dim 16807: 62 words per block
+        fam.letter_tables  # family state, built before the measured call
+        scalar = build_irrep(IrrepSpec(5, 0, 6))  # dim 7: all 100 words in one block
+        words = [random_word(5, 12, random.Random(f"memory:{k}")) for k in range(100)]
+        peaks = []
+        shared = [scalar, fam]
+        for measured in (lambda: word_norms(fam, words), lambda: list(_word_norms_each(shared, words))):
+            tracemalloc.start()
+            try:
+                measured()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the padded kernel peaked at 55.8 MB on these words; without blocks this kernel needs 65 MB,
+        # and so does a plan shared with a family whose blocks are larger
+        assert max(peaks) < 56 * 2**20, [peak / 2**20 for peak in peaks]
 
 
 class TestEvalAndBridge:
