@@ -1,11 +1,14 @@
 """Declarative relation sets and the checks built on them.
 
 The two relation families are expressed once as exact formal polynomials and
-evaluated against operator families via ``core_residual``, so every check in
-a report names the identity it measures.  Alongside the residual reports this
-module houses the operator-norm bound check, the sampled norm-domination
-evidence, and the slot-collapse map that sends the vacuum-cyclic family onto
-each lower class, with tensor words evaluated by slot index arithmetic.
+measured as core residuals against operator families, so every check in a
+report names the identity it measures.  A relation set is measured with one
+pass of the suffix-shared word kernel per relation degree, over the core
+columns only; a relation whose terms could collide falls back to the operator
+path of ``core_residual``.  Alongside the residual reports this module houses
+the operator-norm bound check, the sampled norm-domination evidence, and the
+slot-collapse map that sends the vacuum-cyclic family onto each lower class,
+with tensor words evaluated by slot index arithmetic.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .families import (
 from .fock import LinearOperator, Monomial, core_residual, enumerate_basis, identity, operator_norm
 from .report import VerificationReport
 from .symbolic import (
+    _SuffixPlans,
+    _word_levels,
     _word_norms_each,
     MuPoly,
     NcPolynomial,
@@ -169,6 +174,75 @@ def qccr_relations() -> RelationSet:
     )
 
 
+def _letter_offsets(family) -> list[int | None]:
+    """Row minus column of each letter code's live entries, or None for a letter with two offsets.
+
+    A letter of one offset moves every column where it is live by that many
+    basis indices (a letter with no live entry counts as offset 0), so a word of
+    such letters moves each column where it is live by its letters' offset sum.
+    """
+    rows = family.letter_tables[0][:, :-1]
+    moves, live = rows - np.arange(rows.shape[1]), rows >= 0
+    low = np.where(live, moves, np.iinfo(np.intp).max).min(axis=1)
+    high = np.where(live, moves, np.iinfo(np.intp).min).max(axis=1)
+    return [0 if lo > hi else int(lo) if lo == hi else None for lo, hi in zip(low, high)]
+
+
+def _word_offset(word: Word, offsets: list[int | None]) -> int | None:
+    moves = [offsets[2 * l.index - 2 + l.starred] for l in word]
+    return None if None in moves else sum(moves)
+
+
+def _core_sum(values: np.ndarray, at: dict[Word, int], terms, mu: float) -> np.ndarray:
+    """A side's values in the core columns, its terms added in order as ``evaluate_poly`` adds each row.
+
+    A dead entry or a product that is exactly 0 adds 0, which changes at most the
+    sign of a zero, and the modulus ignores that.
+    """
+    total = np.zeros(values.shape[1], dtype=complex)
+    for word, coeff in terms:
+        total = total + values[at[word]] * complex(coeff.evaluate(mu))
+    return total
+
+
+def _kernel_residuals(family, relations: Sequence[Relation], mu: float) -> list[float | None]:
+    """Core residual of each relation the word kernel measures exactly, and None for the others.
+
+    A relation qualifies when its letters lie in 1..d, its degree fits under the
+    cap and all of its terms move basis vectors by one offset.  Then both sides
+    and their difference are monomial with column c in row c + offset, so the
+    residual is the largest modulus of lhs - rhs over the core columns, and the
+    kernel's products of those columns alone hold the same bits as the full ones.
+    """
+    d, basis = len(family.ops), family.basis
+    offsets = _letter_offsets(family)
+    # degree -> (position, (lhs terms, rhs terms)) of each relation the kernel measures
+    by_degree: dict[int, list] = {}
+    for k, rel in enumerate(relations):
+        sides = rel.lhs.terms(), rel.rhs.terms()
+        words = [w for terms in sides for w, _ in terms]
+        if rel.degree > basis.cap or any(not 1 <= l.index <= d for w in words for l in w):
+            continue
+        moves = {_word_offset(w, offsets) for w in words}
+        if None not in moves and len(moves) <= 1:
+            by_degree.setdefault(rel.degree, []).append((k, sides))
+    residuals: list[float | None] = [None] * len(relations)
+    for degree, members in by_degree.items():
+        words = list(dict.fromkeys(w for _, sides in members for terms in sides for w, _ in terms))
+        columns = np.flatnonzero(basis.core_mask(basis.cap - degree))
+        values = np.zeros((len(words), len(columns)), dtype=complex)
+
+        def read(rows, vals, ends, nodes):
+            values[ends] = np.where(rows[nodes] >= 0, vals[nodes], 0)
+
+        _word_levels(family, _SuffixPlans(words), columns, read)
+        at = {w: n for n, w in enumerate(words)}
+        for k, (lhs, rhs) in members:
+            diff = _core_sum(values, at, lhs, mu) - _core_sum(values, at, rhs, mu)
+            residuals[k] = float(np.max(np.abs(diff), initial=0.0))
+    return residuals
+
+
 def relation_residuals(
     family,
     relset: RelationSet,
@@ -180,12 +254,25 @@ def relation_residuals(
     symbol: str = "a",
     id_prefix: str = "",
 ) -> VerificationReport:
-    """One core-residual check per relation in the set."""
+    """One core-residual check per relation in the set, from one kernel pass per relation degree.
+
+    The relations of one degree share one suffix plan of their words, evaluated
+    over the core columns only (every occupation at most cap - degree), and
+    each relation's residual is read from those columns; no word cache is
+    filled.  A relation the pass cannot measure exactly goes through
+    ``core_residual(evaluate_poly(lhs), evaluate_poly(rhs), degree)`` in
+    relation order, so it keeps that path's residual or exception: one with a
+    letter outside 1..d or a degree above the cap (both raise), or one whose
+    terms do not all move basis vectors by a single offset, so that its sides
+    or their difference may not be monomial.  The relation sets of this module
+    move by one offset per relation on every family the package builds.
+    """
     report = VerificationReport(command=command, params=params)
-    for rel in relset.relations:
-        lhs = evaluate_poly(family, rel.lhs, mu)
-        rhs = evaluate_poly(family, rel.rhs, mu)
-        residual = core_residual(lhs, rhs, rel.degree)
+    for rel, residual in zip(relset.relations, _kernel_residuals(family, relset.relations, mu)):
+        if residual is None:
+            lhs = evaluate_poly(family, rel.lhs, mu)
+            rhs = evaluate_poly(family, rel.rhs, mu)
+            residual = core_residual(lhs, rhs, rel.degree)
         report.add(
             id_prefix + rel.label,
             f"{rel.lhs.to_text(symbol)} = {rel.rhs.to_text(symbol)}",

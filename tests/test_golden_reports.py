@@ -4,7 +4,9 @@ Each campaign's JSON report must hash to the digest pinned here, so a
 speed-up that changes any residual, tolerance, id or parameter fails the
 suite.  The digests were taken before the closed monomial operations
 stopped re-validating their results, and that change kept every byte; the
-d = 5 faithfulness digest was taken before the word kernel shared suffixes.
+d = 5 faithfulness digest was taken before the word kernel shared suffixes,
+and the ``qccr`` and d = 5 ``roundtrip`` digests before relation residuals were
+read from the core columns of the word kernel instead of per-term operators.
 
 Campaigns that go through ``numpy.linalg.eigvalsh`` (``gram`` and ``demo``)
 are left out: LAPACK builds may differ in the last digit of an eigenvalue.
@@ -28,8 +30,11 @@ from tccr.cli import main
 GOLDEN = {
     "roundtrip --d 3 --mu 0.5 --cap 6": "9e5c0860563320cc77984196af125adacc0dbd653c847e2a0f7e00232df6e2a4",
     "roundtrip --d 4 --mu 0.5 --cap 6": "b63bf11bedfa00176b95b9cb3859600a8776e7bae287f26372d0874498a1875b",
+    # dim 16807: the largest relation-set passes
+    "roundtrip --d 5 --mu 0.5 --cap 6": "f90f107736aeb09e8c22fd1007c3b042cf319d316f51dc04235611c29978b126",
     "verify --d 3 --cap 8": "ccc568eac640549cd75e058cc8a6412e58c1770376f61e9eaf758a452edc5352",
     "irreps --d 3 --cap 6": "b9c60f9c4d4dbf1d877b208015d0f59081a69322f0b6cb545875ba2adbc5dd47",
+    "qccr": "eac7bba195c6021ff766427d681b7d9af10c882b8527044b74708ab20c376f96",
     "faithfulness --d 2 --cap 12 --words 1000 --max-len 6 --seed 100":
         "0c21f73e2a72f33219ff7e50e7f32a814045018d6cebad2a6a74dd1c90ad4391",
     # 100 words x 16807 columns: the only pinned kernel that spans more than one block

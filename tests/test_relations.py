@@ -31,9 +31,9 @@ from tccr.relations import (
     tensor_word_matrix,
     tensor_word_product,
 )
-from tccr.reconstruct import isometries_from_generators
+from tccr.reconstruct import isometries_from_generators, roundtrip_check
 from tccr.report import Check, VerificationReport, merge_reports
-from tccr.symbolic import NcPolynomial, evaluate_poly, gen, gen_star, word_norms
+from tccr.symbolic import NcPolynomial, evaluate_poly, gen, gen_star, parse_polynomial, word_norms
 from tccr.families import build_qccr_single
 
 from kron_reference import defect_matrix, shift_matrix, tensor_word_kron
@@ -151,6 +151,202 @@ class TestQccrResiduals:
     def test_model_generator_passes(self, q):
         report = qccr_residuals(build_qccr_single(q, 10), q)
         assert report.all_passed, report.worst()
+
+
+def reference_residuals(family, relset, mu):
+    """Every relation through the operator path: each side built term by term, then ``core_residual``."""
+    return [
+        core_residual(evaluate_poly(family, r.lhs, mu), evaluate_poly(family, r.rhs, mu), r.degree)
+        for r in relset.relations
+    ]
+
+
+def measure(family, relset, mu):
+    return relations.relation_residuals(family, relset, mu, command="test", params={}, tolerance=1.0)
+
+
+def kernel_residuals(monkeypatch, family, relset, mu):
+    """The residuals ``relation_residuals`` hands to the report, before the report rounds them."""
+    seen = []
+    add = VerificationReport.add
+
+    def record(self, id, description, residual, tolerance):
+        seen.append(residual)
+        return add(self, id, description, residual, tolerance)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(VerificationReport, "add", record)
+        report = measure(family, relset, mu)
+    assert [c.id for c in report.checks] == [r.label for r in relset.relations]
+    return seen
+
+
+def mixed_degree_set(d):
+    """True and false relations of degrees 0 to 3 in one set, all of one offset per relation."""
+    rels = [
+        ("one", "1", "1"),
+        ("scaled", "a1", "mu a1"),
+        ("diag", "a1* a1", "1 + mu^2 a1 a1*"),
+        ("cubic", "a1* a1 a1", "a1 + mu^2 a1 a1* a1"),
+        ("cubic/false", "a1* a1 a1", "2 a1"),
+    ]
+    if d > 1:
+        rels += [("twist", f"a1* a{d}", f"mu a{d} a1*"), ("order", f"a{d} a1 a1*", f"mu a1 a{d} a1*")]
+    out = [Relation(label, parse_polynomial(lhs, d), parse_polynomial(rhs, d)) for label, lhs, rhs in rels]
+    out.append(Relation("empty", NcPolynomial.zero(), NcPolynomial.zero()))
+    return RelationSet(kind="mixed", relations=tuple(out))
+
+
+def relation(lhs, rhs):
+    return Relation("r", parse_polynomial(lhs, 1), parse_polynomial(rhs, 1))
+
+
+class TestKernelResiduals:
+    """``relation_residuals`` against the operator path, float for float."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, -0.6])
+    @pytest.mark.parametrize("cap", [2, 3, 5])
+    def test_equal_to_the_operator_path(self, monkeypatch, d, mu, cap):
+        # at cap == degree the core is the vacuum column alone: cap 2 for the built-in sets, 3 for the cubics
+        families = [build_fock_tccr(d, mu, cap)] + [
+            build_irrep(IrrepSpec(d=d, class_j=j, cap=cap, phase=phase))
+            for j in range(d + 1)
+            for phase in (0.0, math.pi / 3)
+        ]
+        sets = [tccr_relations(d), pi_relations(d), qccr_relations()] + [mixed_degree_set(d)] * (cap >= 3)
+        for fam in families:
+            for relset in [*sets, *(s.adjoint() for s in sets)]:
+                cached = len(fam.word_cache)
+                got = kernel_residuals(monkeypatch, fam, relset, mu)
+                # every relation here moves basis vectors by one offset, so none takes the operator path
+                assert len(fam.word_cache) == cached
+                assert got == reference_residuals(fam, relset, mu), (fam.spec, relset.kind)
+
+    def test_empty_relation_set(self):
+        fam = build_fock_tccr(2, 0.5, 4)
+        assert measure(fam, RelationSet(kind="none", relations=()), 0.5).total == 0
+
+    def test_one_kernel_pass_per_degree(self, monkeypatch):
+        levels = tccr.symbolic._word_levels
+        passes = []
+
+        def count(family, plans, columns, read):
+            passes.append((len(plans.words), len(columns)))
+            return levels(family, plans, columns, read)
+
+        monkeypatch.setattr(relations, "_word_levels", count)
+        fam = build_fock_tccr(3, 0.5, 6)
+        tccr_residuals(fam)
+        # 25 distinct words of degree <= 2 over the 5^3 vectors with every occupation <= 4
+        assert passes == [(25, 125)]
+        passes.clear()
+        kernel_residuals(monkeypatch, fam, mixed_degree_set(3), 0.5)
+        assert sorted(columns for _, columns in passes) == [64, 125, 216, 343]
+
+
+class TestFalseRelations:
+    """False relations keep the residual or exception of the operator path."""
+
+    def test_monomial_false_relation_keeps_its_residual(self, monkeypatch):
+        fam = build_fock_tccr(1, 0.5, 6)
+        relset = RelationSet(kind="false", relations=(relation("a1* a1", "1"),))
+        got = kernel_residuals(monkeypatch, fam, relset, 0.5)
+        assert fam.word_cache == {}
+        assert got == reference_residuals(fam, relset, 0.5)
+        assert got[0] > 0.1
+
+    def test_relation_of_two_offsets_takes_the_dense_core_block(self, monkeypatch):
+        fam = build_fock_tccr(1, 0.5, 6)
+        relset = RelationSet(kind="false", relations=(relation("a1", "a1*"),))
+        got = kernel_residuals(monkeypatch, fam, relset, 0.5)
+        # the operator path evaluated both sides
+        assert set(fam.word_cache) == {(gen(1),), (gen_star(1),)}
+        assert got == reference_residuals(build_fock_tccr(1, 0.5, 6), relset, 0.5)
+        assert got[0] > 0.1
+
+    @pytest.mark.parametrize(
+        "lhs, cap",
+        [
+            ("a1 + a1*", 6),
+            # the sides collide in row 1, between columns 0 and 1; the core at degree 2 is column 0 alone
+            ("a1 a1* + a1", 2),
+        ],
+    )
+    def test_non_monomial_side_raises_as_before(self, lhs, cap):
+        fam = build_fock_tccr(1, 0.5, cap)
+        relset = RelationSet(kind="false", relations=(relation(lhs, "0"),))
+        with pytest.raises(ValueError) as want:
+            reference_residuals(build_fock_tccr(1, 0.5, cap), relset, 0.5)
+        with pytest.raises(ValueError) as got:
+            measure(fam, relset, 0.5)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "rels",
+        [
+            # index 3 outside 1..2 first, then index 4, then a degree above the cap
+            [("a1* a1", "1 + mu^2 a1 a1*"), ("a3", "0"), ("a4", "0"), ("a1 a1 a1", "0")],
+            [("a1 a1 a1", "0"), ("a3", "0")],
+            [("a1 + a1*", "0"), ("a1 a1 a1", "0")],
+            [("a1", "a1*"), ("a2 a1 a1", "0"), ("a1 + a2*", "0")],
+        ],
+    )
+    def test_errors_come_in_relation_order(self, rels):
+        d, cap = 2, 2
+        relset = RelationSet(
+            kind="bad",
+            relations=tuple(
+                Relation(f"r{k}", parse_polynomial(lhs, 4), parse_polynomial(rhs, 4))
+                for k, (lhs, rhs) in enumerate(rels)
+            ),
+        )
+        with pytest.raises(ValueError) as want:
+            reference_residuals(build_fock_tccr(d, 0.5, cap), relset, 0.5)
+        with pytest.raises(ValueError) as got:
+            measure(build_fock_tccr(d, 0.5, cap), relset, 0.5)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+class TestResidualMemory:
+    @pytest.mark.parametrize(
+        "build, check",
+        [
+            (lambda: build_fock_tccr(5, 0.5, 6), tccr_residuals),
+            (lambda: build_irrep(IrrepSpec(d=5, class_j=5, cap=6)), pi_residuals),
+        ],
+    )
+    def test_d5_relation_sets_keep_nothing(self, build, check):
+        fam = build()
+        # the family's own column form, built once by its first kernel pass
+        fam.letter_tables
+        tracemalloc.start()
+        try:
+            report = check(fam)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed, report.worst()
+        assert fam.word_cache == {}
+        assert retained < 2**20, retained / 2**20
+        # the operator path peaked at 29 and 17 MB here, and kept 27 and 15 MB of cached words
+        assert peak < 24 * 2**20, peak / 2**20
+
+    def test_roundtrip_fills_no_word_cache(self, monkeypatch):
+        checked = []
+        residuals = relations.relation_residuals
+
+        def record(family, *args, **kwargs):
+            checked.append(family)
+            return residuals(family, *args, **kwargs)
+
+        monkeypatch.setattr(relations, "relation_residuals", record)
+        t, a = build_irrep(IrrepSpec(d=3, class_j=3, cap=6)), build_fock_tccr(3, 0.5, 6)
+        report = roundtrip_check(t, 0.5, a=a)
+        assert report.all_passed, report.worst()
+        # the gates of the four constructions and the re-checks of the reconstructed families
+        assert len(checked) == 6 and t in checked and a in checked
+        assert all(fam.word_cache == {} for fam in checked)
 
 
 class TestNormBound:
