@@ -21,8 +21,9 @@ from .families import IrrepSpec, build_fock_tccr, build_irrep, build_qccr_single
 from .fock import core_residual, identity, polar_left, psd_sqrt
 from .reconstruct import (
     _require_power_cap,
-    roundtrip_check,
-    verify_stage_identities,
+    _roundtrip,
+    _stage_identities,
+    generators_from_isometries,
     weighted_range_series,
 )
 from .relations import (
@@ -206,12 +207,20 @@ def run_roundtrip(d: int, mu: float, cap: int, rank_tol: float, tol: float | Non
     fock = build_irrep(IrrepSpec(d=d, class_j=d, cap=cap))
     fam = build_fock_tccr(d, mu, cap)
     override = {} if tol is None else {"tolerance": tol}
-    parts = [
-        roundtrip_check(fock, mu, rank_tol, a=fam, **override),
-        verify_stage_identities(fock, mu, **override),
-    ]
+    parts = _roundtrip_and_stages(fock, fam, mu, rank_tol, **override)
     params = {"d": d, "mu": mu, "cap": cap, "rank_tol": rank_tol, "tol": tol}
     return merge_reports("roundtrip", params, parts)
+
+
+def _roundtrip_and_stages(fock, fam, mu: float, rank_tol: float, **override) -> list[VerificationReport]:
+    """``roundtrip_check(fock, mu, rank_tol, a=fam, **override)`` and
+    ``verify_stage_identities(fock, mu, **override)``, from one reconstruction.
+    """
+    tilde, trace = generators_from_isometries(fock, mu)
+    return [
+        _roundtrip(fock, mu, rank_tol, tilde, a=fam, **override),
+        _stage_identities(fock, mu, trace, **override),
+    ]
 
 
 def run_irreps(
@@ -337,12 +346,13 @@ def run_demo() -> VerificationReport:
     d, mu, cap, seed = 2, 0.5, 8, 42
     fam = build_fock_tccr(d, mu, cap)
     fock = build_irrep(IrrepSpec(d=d, class_j=d, cap=cap))
+    roundtrip, stages = _roundtrip_and_stages(fock, fam, mu, 1e-8)
     parts = [
         tccr_residuals(fam),
         pi_residuals(fock),
         norm_bound_check(fam),
-        _prefixed(roundtrip_check(fock, mu, a=fam), "roundtrip/"),
-        _prefixed(verify_stage_identities(fock, mu), "stages/"),
+        _prefixed(roundtrip, "roundtrip/"),
+        _prefixed(stages, "stages/"),
         _prefixed(run_qccr(mu, cap, 1e-8), "qccr/"),
         _prefixed(collapse_check(d, 0, 0.0, cap), "collapse/j0/"),
         _prefixed(collapse_check(d, 1, math.pi / 3, cap), "collapse/j1/"),

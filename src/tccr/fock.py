@@ -20,7 +20,9 @@ unary ``-``, ``@``, scalar ``*``, ``identity`` and ``zero``) are canonical
 by construction: they keep the column map injective and in range, so their
 results skip that check, and ``@`` and ``*`` only drop the exact zeros they
 can create.  ``+`` and ``-`` stay fully checked, because two column maps can
-collide.  Core masks are built once per basis and shared read-only.
+collide.  All four run through private functions on ``(cols, vals)`` pairs,
+which a fold of many steps can call without making an operator per step.
+Core masks are built once per basis and shared read-only.
 
 Relations between shift-type operators hold exactly away from the cap; the
 ``core_residual`` helper measures a relation only on vectors far enough from
@@ -30,6 +32,7 @@ the cap that truncation cannot leak in.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -193,14 +196,49 @@ def _closed(basis: FockBasis, cols: np.ndarray, vals: np.ndarray) -> "LinearOper
     return LinearOperator(basis, _Canonical(cols, vals))
 
 
-def _dropping_zeros(basis: FockBasis, cols: np.ndarray, vals: np.ndarray) -> "LinearOperator":
-    """Operator from an injective, in-range column map whose values may hold new exact zeros.
+# The arithmetic of canonical column maps, shared by the operator methods and by
+# ``reconstruct.conjugation_series``: each takes and returns ``(cols, vals)`` pairs.
+
+
+def _drop_zeros(cols: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Empty, in place, the rows of fresh arrays whose column is -1 or whose value is an exact 0.
 
     A product can underflow to 0, a scalar can be 0, and ``inf * 0`` in an
-    empty row is NaN; such rows are emptied exactly as the constructor does.
+    empty row is NaN; such rows are emptied too, as the constructor does.
     """
     empty = (cols < 0) | (vals == 0)
-    return _closed(basis, np.where(empty, -1, cols), np.where(empty, 0j, vals))
+    np.copyto(cols, -1, where=empty)
+    np.copyto(vals, 0, where=empty)
+    return cols, vals
+
+
+def _product(left: tuple, right: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(L R)[r] = L[r, c] R[c, R.cols[c]] with c = L.cols[r]."""
+    (lcols, lvals), (rcols, rvals) = left, right
+    # an empty row of L reads the last row of R through index -1 and is marked empty again
+    cols = rcols[lcols]
+    np.copyto(cols, -1, where=lcols < 0)
+    return _drop_zeros(cols, lvals * rvals[lcols])
+
+
+def _scaled(mono: tuple, scalar: complex) -> tuple[np.ndarray, np.ndarray]:
+    cols, vals = mono
+    return _drop_zeros(cols.copy(), vals * complex(scalar))
+
+
+def _merge(left: tuple, right: tuple, op: np.ufunc) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise ``op`` (add or subtract); ValueError unless the column maps merge injectively."""
+    (lcols, lvals), (rcols, rvals) = left, right
+    if np.any((lcols >= 0) & (rcols >= 0) & (lcols != rcols)):
+        raise ValueError("sum is not monomial: a row holds two nonzeros")
+    cols, vals = _drop_zeros(np.where(lcols >= 0, lcols, rcols), op(lvals, rvals))
+    _require_injective(cols)
+    return cols, vals
+
+
+def _require_injective(cols: np.ndarray) -> None:
+    if np.bincount(cols[cols >= 0], minlength=1).max() > 1:
+        raise ValueError("monomial rows share a column")
 
 
 def _monomial_of_dense(mat: np.ndarray) -> Monomial:
@@ -247,8 +285,8 @@ class LinearOperator:
                     f"matrix shape {mat.shape} does not match basis dimension {dim}"
                 )
             data = _monomial_of_dense(mat)
-        cols = np.asarray(data.cols, dtype=np.intp)
-        vals = np.asarray(data.vals, dtype=complex)
+        cols = np.array(data.cols, dtype=np.intp)
+        vals = np.array(data.vals, dtype=complex)
         if cols.shape != (dim,) or vals.shape != (dim,):
             raise ValueError(
                 f"monomial arrays of shapes {cols.shape}, {vals.shape} do not match "
@@ -257,11 +295,8 @@ class LinearOperator:
         if cols.min() < -1 or cols.max() >= dim:
             raise ValueError(f"monomial column index outside -1..{dim - 1}")
         # canonical form: exact zeros dropped, empty rows hold (-1, 0)
-        empty = (cols < 0) | (vals == 0)
-        cols = np.where(empty, -1, cols)
-        vals = np.where(empty, 0j, vals)
-        if np.bincount(cols[~empty], minlength=1).max() > 1:
-            raise ValueError("monomial rows share a column")
+        cols, vals = _drop_zeros(cols, vals)
+        _require_injective(cols)
         cols.flags.writeable = False
         vals.flags.writeable = False
         object.__setattr__(self, "monomial", Monomial(cols, vals))
@@ -283,35 +318,27 @@ class LinearOperator:
                 f"operators live on different bases: {self.basis} vs {other.basis}"
             )
 
+    @property
+    def _pair(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.monomial.cols, self.monomial.vals
+
     def adjoint(self) -> "LinearOperator":
         mono = self.monomial
-        live = mono.cols >= 0
-        cols = np.full(self.basis.dim, -1, dtype=np.intp)
-        vals = np.zeros(self.basis.dim, dtype=complex)
-        cols[mono.cols[live]] = np.flatnonzero(live)
-        vals[mono.cols[live]] = mono.vals[live].conj()
-        return _closed(self.basis, cols, vals)
+        dim = self.basis.dim
+        # an empty row scatters through index -1 into one extra slot, which is cut off
+        cols = np.full(dim + 1, -1, dtype=np.intp)
+        vals = np.zeros(dim + 1, dtype=complex)
+        cols[mono.cols] = np.arange(dim)
+        vals[mono.cols] = mono.vals.conj()
+        return _closed(self.basis, cols[:dim], vals[:dim])
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         self._check_same_basis(other)
-        left, right = self.monomial, other.monomial
-        # (L R)[r] = L[r, c] R[c, R.cols[c]] with c = L.cols[r]
-        live = left.cols >= 0
-        mid = left.cols[live]
-        cols = np.full(self.basis.dim, -1, dtype=np.intp)
-        vals = np.zeros(self.basis.dim, dtype=complex)
-        cols[live] = right.cols[mid]
-        vals[live] = left.vals[live] * right.vals[mid]
-        return _dropping_zeros(self.basis, cols, vals)
+        return _closed(self.basis, *_product(self._pair, other._pair))
 
     def _combine(self, other: "LinearOperator", op: np.ufunc) -> "LinearOperator":
-        """Entrywise ``op`` (add or subtract); ValueError unless the column maps merge injectively."""
         self._check_same_basis(other)
-        left, right = self.monomial, other.monomial
-        if np.any((left.cols >= 0) & (right.cols >= 0) & (left.cols != right.cols)):
-            raise ValueError("sum is not monomial: a row holds two nonzeros")
-        cols = np.where(left.cols >= 0, left.cols, right.cols)
-        return LinearOperator(self.basis, Monomial(cols, op(left.vals, right.vals)))
+        return _closed(self.basis, *_merge(self._pair, other._pair, op))
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         return self._combine(other, np.add)
@@ -326,8 +353,7 @@ class LinearOperator:
         return _closed(self.basis, mono.cols, vals)
 
     def __mul__(self, scalar: complex) -> "LinearOperator":
-        mono = self.monomial
-        return _dropping_zeros(self.basis, mono.cols, mono.vals * complex(scalar))
+        return _closed(self.basis, *_scaled(self._pair, scalar))
 
     __rmul__ = __mul__
 
@@ -421,8 +447,8 @@ def polar_left(a: LinearOperator, rank_tol: float = 1e-8) -> PolarPair:
     of range(A*) and its final space is range(A).  The zero operator
     decomposes as (0, 0).
     """
-    if rank_tol <= 0:
-        raise ValueError(f"rank_tol must be positive, got {rank_tol}")
+    if not (math.isfinite(rank_tol) and rank_tol > 0):
+        raise ValueError(f"rank_tol must be finite and > 0, got {rank_tol}")
     mono = a.monomial
     _require_finite(mono.vals)
     mags = np.abs(mono.vals)

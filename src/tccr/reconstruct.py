@@ -16,21 +16,31 @@ terms up to n = cap and adds the rest in closed form, which is exact when
 the term t^n X t*^n no longer changes from n = cap + 1 on.  On a truncated
 basis that holds for both kinds of generator: shift-type ones are nilpotent,
 so the term vanishes, and phase-class ones have stable powers, so the term
-is fixed and its tail is a geometric scalar.
+is fixed and its tail is a geometric scalar.  The series runs on the column
+maps of ``tccr.fock`` with the products, sums and checks of the operator fold,
+in its order, and makes one operator at the end.
 
 ``verify_stage_identities`` re-derives every auxiliary identity of the
 stage calculus as a named residual check, and ``roundtrip_check`` verifies that
-the two constructions invert each other.
+the two constructions invert each other.  Each reconstructs its input; the
+private bodies ``_stage_identities`` and ``_roundtrip`` take that
+reconstruction instead, so a campaign that runs both shares one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .families import GeneratorFamily, TccrFamily
 from .fock import (
     LinearOperator,
     TruncationError,
+    _closed,
+    _merge,
+    _product,
+    _scaled,
     core_residual,
     identity,
     polar_left,
@@ -107,15 +117,18 @@ def conjugation_series(t: LinearOperator, inner: LinearOperator, mu: float) -> L
     """
     if not abs(mu) < 1:
         raise ValueError(f"|mu| must be < 1, got {mu}")
-    t_star = t.adjoint()
-    total = term = inner
+    t._check_same_basis(inner)
+    # the fold of @, * and + on (cols, vals) pairs, in the operators' order and with their checks
+    t_pair, star_pair = t._pair, t.adjoint()._pair
+    total = term = inner._pair
     factor = 1.0
     for _ in range(t.basis.cap):
-        term = t @ term @ t_star
+        term = _product(_product(t_pair, term), star_pair)
         factor *= mu
-        total = total + factor * term
+        total = _merge(total, _scaled(term, factor), np.add)
     tail = mu ** (t.basis.cap + 1) / (1.0 - mu)
-    return total + tail * (t @ term @ t_star)
+    last = _product(_product(t_pair, term), star_pair)
+    return _closed(t.basis, *_merge(total, _scaled(last, tail), np.add))
 
 
 def isometries_from_generators(a: TccrFamily, rank_tol: float = 1e-8) -> GeneratorFamily:
@@ -196,7 +209,19 @@ def verify_stage_identities(
     cross-stage exchange identities.
     """
     _require_power_cap(t.basis.cap, max_power)
-    family, trace = generators_from_isometries(t, mu)
+    _, trace = generators_from_isometries(t, mu)
+    return _stage_identities(t, mu, trace, tolerance=tolerance, max_power=max_power)
+
+
+def _stage_identities(
+    t: GeneratorFamily,
+    mu: float,
+    trace: ReconstructionTrace,
+    *,
+    tolerance: float = MODEL_TOL,
+    max_power: int = 3,
+) -> VerificationReport:
+    """The body of ``verify_stage_identities`` on the trace of ``generators_from_isometries(t, mu)``."""
     d = t.d
     stages = trace.stages
     defects = trace.defects
@@ -353,6 +378,20 @@ def roundtrip_check(
     is held to ``tolerance``; the precondition gates of both constructions use
     ``DERIVED_TOL``.
     """
+    tilde, _ = generators_from_isometries(t, mu)
+    return _roundtrip(t, mu, rank_tol, tilde, a=a, tolerance=tolerance)
+
+
+def _roundtrip(
+    t: GeneratorFamily,
+    mu: float,
+    rank_tol: float,
+    tilde: TccrFamily,
+    *,
+    a: TccrFamily | None = None,
+    tolerance: float = DERIVED_TOL,
+) -> VerificationReport:
+    """The body of ``roundtrip_check`` on ``tilde``, the family of ``generators_from_isometries(t, mu)``."""
     report = VerificationReport(
         command="roundtrip_check",
         params={
@@ -363,8 +402,6 @@ def roundtrip_check(
             "tolerance": tolerance,
         },
     )
-
-    tilde, _ = generators_from_isometries(t, mu)
     report.extend(tccr_residuals(tilde, tolerance=tolerance, id_prefix="A/tccr/"))
     hats = isometries_from_generators(tilde, rank_tol)
     report.extend(pi_residuals(hats, tolerance=tolerance, id_prefix="A/pi/"))

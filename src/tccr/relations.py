@@ -5,7 +5,9 @@ measured as core residuals against operator families, so every check in a
 report names the identity it measures.  A relation set is measured with one
 pass of the suffix-shared word kernel per relation degree, over the core
 columns only; a relation whose terms could collide falls back to the operator
-path of ``core_residual``.  Alongside the residual reports this module houses
+path of ``core_residual``.  ``tccr_relations`` and ``pi_relations`` depend
+only on d, so each set is built once per d and its check descriptions once per
+symbol, behind small bounded caches.  Alongside the residual reports this module houses
 the operator-norm bound check, the sampled norm-domination evidence, and the
 slot-collapse map that sends the vacuum-cyclic family onto each lower class,
 with tensor words evaluated by slot index arithmetic.
@@ -14,6 +16,7 @@ with tensor words evaluated by slot index arithmetic.
 from __future__ import annotations
 
 import cmath
+import functools
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -92,6 +95,11 @@ class RelationSet:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate relation labels in {self.kind}")
 
+    def __hash__(self) -> int:
+        # equal sets share kind and size; hashing every term of every polynomial costs
+        # more than the description lookup it keys
+        return hash((self.kind, len(self.relations)))
+
     def adjoint(self) -> "RelationSet":
         flipped = tuple(
             Relation(r.label + "/adj", r.lhs.adjoint(), r.rhs.adjoint())
@@ -104,6 +112,7 @@ def _pair(a, b) -> NcPolynomial:
     return NcPolynomial.from_word((a, b))
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def tccr_relations(d: int) -> RelationSet:
     """The deformed relations: diagonal, twisted commutation, and ordering."""
     if d < 1:
@@ -140,6 +149,7 @@ def tccr_relations(d: int) -> RelationSet:
     return RelationSet(kind=f"TCCR(mu,{d})", relations=tuple(rels))
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def pi_relations(d: int) -> RelationSet:
     """The partial-isometry relations: t_i* t_j diagonal/cross plus lower products."""
     if d < 1:
@@ -172,6 +182,11 @@ def qccr_relations() -> RelationSet:
         kind="QCCR(q)",
         relations=(Relation("diag/i1", _pair(gen_star(1), gen(1)), rhs),),
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _descriptions(relset: RelationSet, symbol: str) -> tuple[str, ...]:
+    return tuple(f"{r.lhs.to_text(symbol)} = {r.rhs.to_text(symbol)}" for r in relset.relations)
 
 
 def _letter_offsets(family) -> list[int | None]:
@@ -268,17 +283,13 @@ def relation_residuals(
     move by one offset per relation on every family the package builds.
     """
     report = VerificationReport(command=command, params=params)
-    for rel, residual in zip(relset.relations, _kernel_residuals(family, relset.relations, mu)):
+    residuals = _kernel_residuals(family, relset.relations, mu)
+    for rel, residual, description in zip(relset.relations, residuals, _descriptions(relset, symbol)):
         if residual is None:
             lhs = evaluate_poly(family, rel.lhs, mu)
             rhs = evaluate_poly(family, rel.rhs, mu)
             residual = core_residual(lhs, rhs, rel.degree)
-        report.add(
-            id_prefix + rel.label,
-            f"{rel.lhs.to_text(symbol)} = {rel.rhs.to_text(symbol)}",
-            residual,
-            tolerance,
-        )
+        report.add(id_prefix + rel.label, description, residual, tolerance)
     return report
 
 

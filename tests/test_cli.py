@@ -231,3 +231,41 @@ class TestSubcommands:
         for prefix in ("tccr/", "pi/", "bound/", "roundtrip/", "stages/", "qccr/",
                        "collapse/", "domination/", "gram/"):
             assert any(i.startswith(prefix) for i in ids), prefix
+
+
+class TestSharedWork:
+    """What a campaign builds once: its reconstruction, and each relation set per d."""
+
+    @pytest.mark.parametrize("argv", [("roundtrip", "--d", "2", "--cap", "6"), ("demo",)])
+    def test_one_reconstruction_feeds_the_roundtrip_and_the_stage_suite(self, monkeypatch, tmp_path, argv):
+        import tccr.reconstruct
+
+        original = tccr.reconstruct.generators_from_isometries
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (tccr.reconstruct, tccr.cli):
+            if getattr(module, "generators_from_isometries", None) is original:
+                monkeypatch.setattr(module, "generators_from_isometries", counting)
+        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        # the shared one, and direction B's from the polar isometries
+        assert len(calls) == 2
+
+    def test_relation_sets_are_built_once_per_d(self, monkeypatch, tmp_path):
+        import tccr.relations
+
+        real, built = tccr.relations.RelationSet, []
+
+        def counting(**fields):
+            built.append(fields["kind"])
+            return real(**fields)
+
+        for builder in (tccr.relations.tccr_relations, tccr.relations.pi_relations):
+            builder.cache_clear()
+        monkeypatch.setattr(tccr.relations, "RelationSet", counting)
+        for d in (2, 3, 2, 3):
+            assert main(["roundtrip", "--d", str(d), "--cap", "6", "--out", str(tmp_path / "r.json")]) == 0
+        assert sorted(built) == ["PI(2)", "PI(3)", "TCCR(mu,2)", "TCCR(mu,3)"]

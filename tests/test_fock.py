@@ -238,6 +238,13 @@ class TestPolarLeft:
         s = polar_left(a).isometric_part
         assert operator_norm(s @ s.adjoint() @ s - s) <= 1e-10
 
+    @pytest.mark.parametrize("rank_tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-8])
+    def test_rank_tol_must_be_finite_and_positive(self, rank_tol):
+        # a NaN or infinite rank_tol used to keep no entry and return a zero isometric part
+        a = build_fock_tccr(2, 0.5, 4).ops[0]
+        with pytest.raises(ValueError, match="rank_tol must be finite and > 0"):
+            polar_left(a, rank_tol)
+
     def test_positive_part_is_root_of_range_gram(self):
         rng = np.random.default_rng(17)
         basis = enumerate_basis(1, 6)

@@ -18,6 +18,12 @@ the printed pairing matrix (exact rationals) and the ``bridge/*`` rows (id,
 description, residual, tolerance).  Its ``positivity/*`` rows are smallest
 eigenvalues, so they stay unpinned.  These digests were taken before the
 bridge read only the vacuum column of the word kernel.
+
+The ``roundtrip`` digests at mu = -0.6 and mu = 0 were taken before the
+conjugation series moved from operator objects to column maps and before a
+roundtrip campaign shared one reconstruction between its roundtrip and its
+stage suite; with mu = 0.5 alone, a sign slip in the series' weights would
+pass unseen.
 """
 
 import hashlib
@@ -30,6 +36,9 @@ from tccr.cli import main
 GOLDEN = {
     "roundtrip --d 3 --mu 0.5 --cap 6": "9e5c0860563320cc77984196af125adacc0dbd653c847e2a0f7e00232df6e2a4",
     "roundtrip --d 4 --mu 0.5 --cap 6": "b63bf11bedfa00176b95b9cb3859600a8776e7bae287f26372d0874498a1875b",
+    # a negative mu (odd weights change sign) and the undeformed series (every weight past n = 0 is 0)
+    "roundtrip --d 3 --mu -0.6 --cap 8": "ec060861b44e279fbfd02e6d37c200062f023f04ee34f1cc6555b2e3ea06a08c",
+    "roundtrip --d 2 --mu 0.0 --cap 6": "e50d1f6b428c42da39c6b32e81f164b19ae4f252e9459eed26bb9108ddf96f48",
     # dim 16807: the largest relation-set passes
     "roundtrip --d 5 --mu 0.5 --cap 6": "f90f107736aeb09e8c22fd1007c3b042cf319d316f51dc04235611c29978b126",
     "verify --d 3 --cap 8": "ccc568eac640549cd75e058cc8a6412e58c1770376f61e9eaf758a452edc5352",

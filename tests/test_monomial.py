@@ -276,6 +276,17 @@ class TestCanonicalByConstruction:
             blown = scaled @ x.adjoint()
             assert_same_operator(blown, validated(basis, *raw_product(scaled, x.adjoint())))
 
+    @pytest.mark.parametrize("last", [math.inf, math.nan, complex(0, -math.inf)])
+    def test_an_empty_row_stays_empty_before_a_non_finite_last_row(self, last):
+        # a product gathers an empty row through index -1, the right operand's last row
+        basis = enumerate_basis(1, 3)
+        right = LinearOperator(basis, Monomial(np.array([-1, -1, -1, 0]), np.array([0, 0, 0, last])))
+        partial = LinearOperator(basis, Monomial(np.array([3, -1, 0, -1]), np.array([2.0, 0, 1j, 0])))
+        for left in (zero(basis), partial, right):
+            product = left @ right
+            assert_same_operator(product, validated(basis, *raw_product(left, right)))
+            assert np.all(product.monomial.cols[left.monomial.cols < 0] == -1)
+
     def test_a_stored_monomial_is_validated_again_on_another_basis(self):
         op = identity(enumerate_basis(1, 3))
         with pytest.raises(ValueError, match="do not match"):

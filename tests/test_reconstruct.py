@@ -17,6 +17,8 @@ from tccr.reconstruct import (
 )
 from tccr.relations import tccr_residuals
 
+import operator_fold_reference
+
 
 def max_entry_gap(ops_a, ops_b):
     return max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(ops_a, ops_b))
@@ -74,6 +76,55 @@ class TestSingleSeriesAgainstPowerTables:
                                 [conjugation_series(t, inner, mu)], [ref_conjugation_series(t, inner, mu)]
                             ))
         assert max(gaps) <= 1e-13
+
+
+def bitwise_equal(a, b):
+    return np.array_equal(a.monomial.cols, b.monomial.cols) and np.array_equal(
+        a.monomial.vals.view(np.float64), b.monomial.vals.view(np.float64)
+    )
+
+
+class TestColumnMapSeriesAgainstOperatorFold:
+    @pytest.mark.parametrize("cap", [2, 4, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_class_phase_mu_and_inner_bit_for_bit(self, d, cap):
+        cases = 0
+        for j in range(d + 1):
+            for phase in (0.0,) if j == d else (0.0, math.pi / 3, math.pi):
+                fam = build_irrep(IrrepSpec(d=d, class_j=j, cap=cap, phase=phase))
+                for mu in (-0.7, 0.0, 0.5, 0.9):
+                    # stage(i, j + 1) is the inner of the series over t_j that makes stage(i, j)
+                    stages = generators_from_isometries(fam, mu)[1].stages
+                    pairs = [(t, inner) for t in fam.ops for inner in fam.ops + (t @ t.adjoint(),)]
+                    pairs += [(fam.ops[k - 1], stages[(i, k + 1)]) for i in range(2, d + 1) for k in range(1, i)]
+                    for t, inner in pairs:
+                        got = conjugation_series(t, inner, mu)
+                        want = operator_fold_reference.conjugation_series(t, inner, mu)
+                        assert bitwise_equal(got, want), (j, phase, mu)
+                        cases += 1
+        assert cases > 0
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            # t inner t* puts row 1 in column 3, where inner holds column 0
+            ({(0, 2): 1.0, (1, 0): 1.0}, "a row holds two nonzeros"),
+            # t inner t* puts row 4 in column 2, which inner holds in row 0
+            ({(0, 2): 1.0, (3, 1): 1.0}, "rows share a column"),
+        ],
+    )
+    def test_colliding_inner_raises_the_same_error(self, entries, message):
+        t = build_irrep(IrrepSpec(d=1, class_j=1, cap=6)).ops[0]
+        mat = np.zeros((t.basis.dim, t.basis.dim), dtype=complex)
+        for (row, col), value in entries.items():
+            mat[row, col] = value
+        inner = LinearOperator(t.basis, mat)
+        errors = []
+        for series in (conjugation_series, operator_fold_reference.conjugation_series):
+            with pytest.raises(ValueError, match=message) as err:
+                series(t, inner, 0.5)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
 
 
 class TestWeightedRangeSeries:
@@ -142,6 +193,10 @@ class TestIsometriesFromGenerators:
         assert core_residual(s.adjoint() @ s, identity(op.basis), 2) <= 1e-10
         rebuilt = psd_sqrt(weighted_range_series(s, q)) @ s
         assert core_residual(rebuilt, op, 1) <= 1e-8
+
+    def test_rejects_a_non_finite_rank_tol(self):
+        with pytest.raises(ValueError, match="rank_tol must be finite and > 0"):
+            isometries_from_generators(build_fock_tccr(2, 0.5, 6), float("nan"))
 
     def test_gate_rejects_non_family(self):
         fam = build_fock_tccr(2, 0.5, 6)
@@ -345,6 +400,12 @@ class TestRoundtrip:
         t = build_irrep(IrrepSpec(d=2, class_j=1, cap=8, phase=0.0))
         report = roundtrip_check(t, 0.5)
         assert report.all_passed, report.worst()
+
+    @pytest.mark.parametrize("rank_tol", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_rank_tol(self, rank_tol):
+        t = build_irrep(IrrepSpec(d=2, class_j=2, cap=6))
+        with pytest.raises(ValueError, match="rank_tol must be finite and > 0"):
+            roundtrip_check(t, 0.5, rank_tol)
 
     def test_scalar_class_roundtrip(self):
         t = build_irrep(IrrepSpec(d=1, class_j=0, cap=6, phase=math.pi / 3))
