@@ -284,10 +284,11 @@ def run_gram(
         )
     max_degree = min(5, cap)
     families = {mu: build_fock_tccr(d, mu, cap) for mu in (-0.9, 0.3, 0.7)}
-    for k in range(bridge_count):
-        poly = random_polynomial(d, max_degree, random.Random(f"{seed}:{k}"))
-        checks = {f"bridge/p{k:03d}/mu{mu:+.2f}": fam for mu, fam in families.items()}
-        _add_bridge_checks(report, poly, d, checks, tol)
+    polys = {
+        f"bridge/p{k:03d}/": random_polynomial(d, max_degree, random.Random(f"{seed}:{k}"))
+        for k in range(bridge_count)
+    }
+    _add_bridge_checks(report, polys, d, {f"mu{mu:+.2f}": fam for mu, fam in families.items()}, tol)
     return report
 
 

@@ -1,9 +1,8 @@
 """Exact normal ordering for words in deformed generators.
 
-Elements of the free *-algebra on letters ``x_1, .., x_d, x_1*, .., x_d*``
-are stored as maps from words to coefficients; coefficients are polynomials
-in the deformation parameter ``mu`` with exact rational coefficients, so
-every identity certified here is certified exactly.
+Words and polynomials come from ``tccr.algebra``, whose coefficients are
+exact rational polynomials in ``mu``, so every identity certified here is
+certified exactly.
 
 Normal ordering is the fixed point of four rewrite rules:
 
@@ -33,10 +32,11 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .algebra import Letter, MuPoly, NcPolynomial, Word, _word_key, gen, gen_star, word_adjoint, word_str
 from .fock import CapacityError, LinearOperator, Monomial, TruncationError, _require_finite, zero
 from .report import VerificationReport
 
@@ -66,264 +66,6 @@ __all__ = [
     "random_word",
     "random_polynomial",
 ]
-
-
-class Letter(NamedTuple):
-    index: int
-    starred: bool
-
-    def adjoint(self) -> "Letter":
-        return Letter(self.index, not self.starred)
-
-
-Word = tuple[Letter, ...]
-
-
-def gen(i: int) -> Letter:
-    return Letter(i, False)
-
-
-def gen_star(i: int) -> Letter:
-    return Letter(i, True)
-
-
-def word_adjoint(word: Word) -> Word:
-    return tuple(l.adjoint() for l in reversed(word))
-
-
-def word_str(word: Word, symbol: str = "a") -> str:
-    if not word:
-        return "1"
-    return " ".join(f"{symbol}{l.index}" + ("*" if l.starred else "") for l in word)
-
-
-def _word_key(word: Word):
-    return (len(word), word)
-
-
-class MuPoly:
-    """Polynomial in mu with exact Fraction coefficients, no zero terms stored."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, Fraction | int] | None = None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for exp, c in coeffs.items():
-                if exp < 0:
-                    raise ValueError(f"negative mu exponent {exp}")
-                frac = Fraction(c)
-                if frac:
-                    clean[int(exp)] = frac
-        self._coeffs = clean
-
-    @classmethod
-    def zero(cls) -> "MuPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "MuPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def const(cls, c: Fraction | int) -> "MuPoly":
-        return cls({0: c})
-
-    @classmethod
-    def mu(cls, exponent: int = 1, coeff: Fraction | int = 1) -> "MuPoly":
-        return cls({exponent: coeff})
-
-    def items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._coeffs.items())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def degree(self) -> int:
-        return max(self._coeffs, default=0)
-
-    def __add__(self, other: "MuPoly") -> "MuPoly":
-        out = dict(self._coeffs)
-        for exp, c in other._coeffs.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
-        return MuPoly(out)
-
-    def __neg__(self) -> "MuPoly":
-        return MuPoly({e: -c for e, c in self._coeffs.items()})
-
-    def __sub__(self, other: "MuPoly") -> "MuPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MuPoly | Fraction | int") -> "MuPoly":
-        if isinstance(other, (int, Fraction)):
-            return MuPoly({e: c * other for e, c in self._coeffs.items()})
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
-        return MuPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MuPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def evaluate(self, mu: float) -> float:
-        return float(sum(float(c) * mu**e for e, c in self._coeffs.items()))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for exp, c in self.items():
-            mono = _mu_monomial_str(exp, c)
-            if not parts:
-                parts.append(mono)
-            elif mono.startswith("-"):
-                parts.append("- " + mono[1:])
-            else:
-                parts.append("+ " + mono)
-        return " ".join(parts)
-
-    __repr__ = __str__
-
-
-def _mu_monomial_str(exp: int, c: Fraction) -> str:
-    if exp == 0:
-        return str(c)
-    mu = "mu" if exp == 1 else f"mu^{exp}"
-    if c == 1:
-        return mu
-    if c == -1:
-        return f"-{mu}"
-    return f"{c} {mu}"
-
-
-class NcPolynomial:
-    """Formal sum of words with MuPoly coefficients."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Word, MuPoly] | None = None):
-        clean: dict[Word, MuPoly] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if not coeff.is_zero:
-                    clean[tuple(word)] = coeff
-        self._terms = clean
-
-    @classmethod
-    def zero(cls) -> "NcPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "NcPolynomial":
-        return cls({(): MuPoly.one()})
-
-    @classmethod
-    def from_word(cls, word: Iterable[Letter], coeff: MuPoly | Fraction | int = 1) -> "NcPolynomial":
-        c = coeff if isinstance(coeff, MuPoly) else MuPoly.const(coeff)
-        return cls({tuple(word): c})
-
-    @classmethod
-    def generator(cls, i: int) -> "NcPolynomial":
-        return cls.from_word((gen(i),))
-
-    def terms(self) -> list[tuple[Word, MuPoly]]:
-        return sorted(self._terms.items(), key=lambda kv: _word_key(kv[0]))
-
-    def coefficient(self, word: Word) -> MuPoly:
-        return self._terms.get(tuple(word), MuPoly.zero())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def degree(self) -> int:
-        return max((len(w) for w in self._terms), default=0)
-
-    def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            acc = out.get(word)
-            out[word] = coeff if acc is None else acc + coeff
-        return NcPolynomial(out)
-
-    def __neg__(self) -> "NcPolynomial":
-        return NcPolynomial({w: -c for w, c in self._terms.items()})
-
-    def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "NcPolynomial | MuPoly | Fraction | int") -> "NcPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = MuPoly.const(other)
-        if isinstance(other, MuPoly):
-            return NcPolynomial({w: c * other for w, c in self._terms.items()})
-        out: dict[Word, MuPoly] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                word = w1 + w2
-                prod = c1 * c2
-                acc = out.get(word)
-                out[word] = prod if acc is None else acc + prod
-        return NcPolynomial(out)
-
-    def __rmul__(self, other: "MuPoly | Fraction | int") -> "NcPolynomial":
-        return self * other
-
-    def adjoint(self) -> "NcPolynomial":
-        # coefficients are real rationals, so conjugation leaves them fixed
-        return NcPolynomial({word_adjoint(w): c for w, c in self._terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NcPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset((w, c) for w, c in self._terms.items()))
-
-    def to_text(self, symbol: str = "a") -> str:
-        """Render in the parseable text format, one term per mu-monomial."""
-        if self.is_zero:
-            return "0"
-        pieces: list[tuple[bool, str]] = []  # (negative, body)
-        for word, coeff in self.terms():
-            for exp, c in coeff.items():
-                body = _term_text(word, exp, abs(c), symbol)
-                pieces.append((c < 0, body))
-        out = []
-        for k, (negative, body) in enumerate(pieces):
-            if k == 0:
-                out.append(("-" if negative else "") + body)
-            else:
-                out.append(("- " if negative else "+ ") + body)
-        return " ".join(out)
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    __repr__ = __str__
-
-
-def _term_text(word: Word, exp: int, c: Fraction, symbol: str) -> str:
-    factors: list[str] = []
-    if c != 1 or (exp == 0 and not word):
-        factors.append(str(c))
-    if exp:
-        factors.append("mu" if exp == 1 else f"mu^{exp}")
-    if word:
-        factors.append(word_str(word, symbol))
-    elif not factors:
-        factors.append("1")
-    return " ".join(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +243,13 @@ def gram_matrix(level: int, d: int) -> tuple[list[Word], list[list[MuPoly]]]:
 
 
 def evaluate_mu_matrix(entries: Sequence[Sequence[MuPoly]], mu: float) -> np.ndarray:
-    # most pairings are zero by charge; they need no call
-    return np.array([[0.0 if e.is_zero else e.evaluate(mu) for e in row] for row in entries], dtype=float)
+    # most pairings are zero by charge; only the others are evaluated and written
+    out = np.zeros((len(entries), len(entries[0]) if entries else 0))
+    for r, row in enumerate(entries):
+        for c, e in enumerate(row):
+            if e._coeffs:
+                out[r, c] = e.evaluate(mu)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -767,54 +514,64 @@ def evaluate_poly(family, p: NcPolynomial, mu: float) -> LinearOperator:
     return zero(family.basis) if acc is None else acc
 
 
-def _model_vacuum_value(
-    a: "TccrFamily", terms: Sequence[tuple[Word, MuPoly]], plans: _SuffixPlans | None = None
-) -> complex:
-    """``<vacuum, p vacuum>`` in the truncated model, from one kernel pass over the vacuum column.
+def _model_vacuum_values(
+    a: "TccrFamily", term_lists: Sequence[Sequence[tuple[Word, MuPoly]]], plans: _SuffixPlans | None = None
+) -> list[complex]:
+    """``<vacuum, p vacuum>`` in the truncated model for each ``p`` given by its terms, from one kernel pass.
 
-    Each word contributes its coefficient at ``a.mu`` times its entry [0, 0]:
-    the vacuum column's value where that column lands in row 0.  The sum runs
-    in ``terms`` order and skips zero entries, as the full product would.
-    ``plans`` holds the suffix plan of ``terms``' words, when one is shared.
+    The pass runs over the vacuum column only.  Each word contributes its
+    coefficient at ``a.mu`` times its entry [0, 0]: the vacuum column's value
+    where that column lands in row 0.  Each sum runs in its terms' order and
+    skips zero entries, as the full product would.  ``plans`` holds the suffix
+    plan of every term's word in that order, when one is shared.
     """
     if plans is None:
-        plans = _SuffixPlans([word for word, _ in terms])
-    entries = np.zeros(len(terms), dtype=complex)
+        plans = _SuffixPlans([word for terms in term_lists for word, _ in terms])
+    entries = np.zeros(len(plans.words), dtype=complex)
 
     def read(rows, vals, ends, nodes):
         entries[ends] = np.where(rows[nodes, 0] == 0, vals[nodes, 0], 0)
 
     _word_levels(a, plans, _VACUUM, read)
-    numeric = 0j
-    for (_, coeff), entry in zip(terms, entries):
-        if entry:
-            numeric += coeff.evaluate(a.mu) * entry
-    return numeric
+    values, start = [], 0
+    for terms in term_lists:
+        numeric = 0j
+        for (_, coeff), entry in zip(terms, entries[start:]):
+            if entry:
+                numeric += coeff.evaluate(a.mu) * entry
+        values.append(numeric)
+        start += len(terms)
+    return values
 
 
 def _add_bridge_checks(
-    report: VerificationReport, p: NcPolynomial, d: int, families: Mapping[str, "TccrFamily"], tol: float
-) -> str:
-    """Add one bridge check per (id, family) to ``report``, and return ``p``'s text.
+    report: VerificationReport, polys: Mapping[str, NcPolynomial], d: int,
+    families: Mapping[str, "TccrFamily"], tol: float,
+) -> list[str]:
+    """Add a bridge check per polynomial and family to ``report``, and return the polynomials' texts.
 
-    The exact vacuum functional, the text of ``p`` and its words' suffix plan are
-    computed once for all families.
+    Check ids join a key of ``polys`` with a key of ``families``.  Every degree
+    is checked against every cap before any work.  The exact vacuum functional
+    and the text of each polynomial are computed once, and the model side is one
+    kernel pass per family over one suffix plan of all the polynomials' words.
     """
-    deg = p.degree()
-    for a in families.values():
-        if deg > a.basis.cap:
-            raise TruncationError(
-                f"polynomial degree {deg} exceeds cap {a.basis.cap}; vacuum expectation would be truncated"
-            )
-    exact = vacuum_expectation(p, d)
-    terms = p.terms()
-    plans = _SuffixPlans([word for word, _ in terms])
-    text = p.to_text()
-    description = f"<vacuum, p vacuum> exact vs truncated model for p = {text}"
-    for check_id, a in families.items():
-        residual = abs(_model_vacuum_value(a, terms, plans) - exact.evaluate(a.mu))
-        report.add(check_id, description, residual, tol)
-    return text
+    for p in polys.values():
+        deg = p.degree()
+        for a in families.values():
+            if deg > a.basis.cap:
+                raise TruncationError(
+                    f"polynomial degree {deg} exceeds cap {a.basis.cap}; vacuum expectation would be truncated"
+                )
+    exact = [vacuum_expectation(p, d) for p in polys.values()]
+    terms = [p.terms() for p in polys.values()]
+    plans = _SuffixPlans([word for t in terms for word, _ in t])
+    models = [_model_vacuum_values(a, terms, plans) for a in families.values()]
+    texts = [p.to_text() for p in polys.values()]
+    for k, prefix in enumerate(polys):
+        description = f"<vacuum, p vacuum> exact vs truncated model for p = {texts[k]}"
+        for (label, a), values in zip(families.items(), models):
+            report.add(prefix + label, description, abs(values[k] - exact[k].evaluate(a.mu)), tol)
+    return texts
 
 
 def eval_and_bridge(p: NcPolynomial, a: "TccrFamily", tol: float = 1e-10) -> VerificationReport:
@@ -827,7 +584,7 @@ def eval_and_bridge(p: NcPolynomial, a: "TccrFamily", tol: float = 1e-10) -> Ver
     """
     d = len(a.ops)
     report = VerificationReport(command="eval_and_bridge", params={"d": d, "mu": a.mu, "cap": a.basis.cap})
-    report.params["poly"] = _add_bridge_checks(report, p, d, {"bridge": a}, tol)
+    [report.params["poly"]] = _add_bridge_checks(report, {"": p}, d, {"bridge": a}, tol)
     return report
 
 

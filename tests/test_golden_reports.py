@@ -16,8 +16,11 @@ square roots and moduli), which does not depend on the BLAS build.
 Of a ``gram`` campaign, the parts that do not go through LAPACK are pinned:
 the printed pairing matrix (exact rationals) and the ``bridge/*`` rows (id,
 description, residual, tolerance).  Its ``positivity/*`` rows are smallest
-eigenvalues, so they stay unpinned.  These digests were taken before the
-bridge read only the vacuum column of the word kernel.
+eigenvalues, so they stay unpinned.  The d = 2 level 4 and d = 3 level 3
+digests were taken before the bridge read only the vacuum column of the word
+kernel; the d = 4 level 4 and d = 2 level 6 digests were taken before
+``MuPoly`` arithmetic skipped re-validating its results and before one bridge
+pass per family served all of a campaign's polynomials.
 
 The ``roundtrip`` digests at mu = -0.6 and mu = 0 were taken before the
 conjugation series moved from operator objects to column maps and before a
@@ -68,6 +71,15 @@ GRAM_GOLDEN = {
     "gram --d 3 --level 3 --cap 5 --bridge-count 20 --seed 70": (
         "0b5468bfa50864d17dccb41ebce215f035d89e6991556adcda8ab0b5d28945d9",
         "ab9a1b256fb04def42a1121a5c03aadaecd4e2c4c61ec640caf64e819eb15b35",
+    ),
+    # the largest basis (341 words) and the deepest level (the longest exact coefficients)
+    "gram --d 4 --level 4 --cap 5 --bridge-count 20 --seed 70": (
+        "665f64b264f04f5e9c310f64921b2a26beffbf395f732f66293dcf42040f9be4",
+        "1b8bdd6c56c87b76e2c53d257aa273ad8f634ba5aa580cb078564d100a795a19",
+    ),
+    "gram --d 2 --level 6 --cap 6 --bridge-count 20 --seed 70": (
+        "df9d9e5bd1016190e5a2ca04bda01b68d1062a51fd2267f026682c52cd74318a",
+        "85df83b0e19855c643d365e081c284c5913b42506f53491d8cf0b6ccf765bdd8",
     ),
 }
 

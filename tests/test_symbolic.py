@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 from collections import Counter
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tccr.algebra
 import tccr.families
 import tccr.symbolic
+from tccr.cli import run_gram
 from tccr.families import IrrepSpec, TccrFamily, build_fock_tccr, build_irrep
 from tccr.fock import (
     CapacityError,
@@ -44,6 +47,7 @@ from tccr.symbolic import (
     word_adjoint,
     word_norms,
 )
+from tccr.report import VerificationReport
 from tccr.symbolic import _word_norms_each
 
 from padded_word_kernel import padded_vacuum_value, padded_word_columns, padded_word_norms
@@ -79,6 +83,105 @@ class TestMuPoly:
     def test_evaluate(self):
         p = MuPoly({0: 1, 2: -1})
         assert p.evaluate(0.5) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("coeffs", [{0.5: 1}, {2.0: 1}, {True: 1}, {False: 1}, {"1": 1}, {None: 1}])
+    def test_non_integer_exponents_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="integer"):
+            MuPoly(coeffs)
+
+    def test_non_integer_exponents_rejected_by_the_named_constructors(self):
+        with pytest.raises(ValueError, match="integer"):
+            MuPoly.mu(1.5, 2)
+        with pytest.raises(ValueError, match="integer"):
+            MuPoly.mu(True)
+        with pytest.raises(ValueError, match="negative"):
+            MuPoly.mu(-1)
+
+    @pytest.mark.parametrize("other", [1, Fraction(1, 2), 0.5, "mu", None])
+    def test_sums_with_non_polynomials_raise_type_error(self, other):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(MuPoly.one(), other)
+            with pytest.raises(TypeError):
+                op(other, MuPoly.one())
+
+    def test_products_with_non_scalars_raise_type_error(self):
+        for other in (0.5, "mu", None):
+            with pytest.raises(TypeError):
+                MuPoly.one() * other
+            with pytest.raises(TypeError):
+                other * MuPoly.one()
+
+
+def random_mu_poly(rng):
+    """A MuPoly with signed fractional coefficients, sometimes zero, built through the validating constructor."""
+    return MuPoly(
+        {rng.randint(0, 5): Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 5))}
+    )
+
+
+def cancelling_partner(p, rng):
+    """A MuPoly that cancels some or all of ``p``'s terms when added to it."""
+    coeffs = {e: -c for e, c in p._coeffs.items() if rng.random() < 0.7}
+    coeffs.update({rng.randint(0, 5): Fraction(rng.randint(-3, 3), 2) for _ in range(rng.randint(0, 2))})
+    return MuPoly(coeffs)
+
+
+def reference_sum(p, q, sign=1):
+    """Test-only reference for ``p + sign * q``, rebuilt through the validating constructor."""
+    out = dict(p._coeffs)
+    for e, c in q._coeffs.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return MuPoly(out)
+
+
+def reference_product(p, q):
+    out = {}
+    for e1, c1 in p._coeffs.items():
+        for e2, c2 in q._coeffs.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return MuPoly(out)
+
+
+def assert_same_poly(got, want):
+    # insertion order too: evaluate sums the terms in it
+    assert list(got._coeffs.items()) == list(want._coeffs.items()), (got, want)
+    assert all(type(c) is Fraction and c for c in got._coeffs.values()), got
+    assert all(type(e) is int for e in got._coeffs), got
+    assert str(got) == str(want) and hash(got) == hash(want)
+
+
+def test_symbolic_re_exports_the_algebra():
+    # callers and the traced benchmark reach these names through tccr.symbolic
+    assert all(getattr(tccr.symbolic, name) is getattr(tccr.algebra, name) for name in tccr.algebra.__all__)
+    assert set(tccr.algebra.__all__) <= set(tccr.symbolic.__all__)
+
+
+class TestClosedMuPolyArithmetic:
+    """The closed operations against a reference that re-validates every result."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_validating_reference(self, seed):
+        rng = random.Random(f"mupoly:{seed}")
+        for _ in range(60):
+            p = random_mu_poly(rng)
+            q = cancelling_partner(p, rng) if rng.random() < 0.5 else random_mu_poly(rng)
+            scalar = rng.choice([0, 1, -1, 3, Fraction(0), Fraction(-2, 3), Fraction(5, 4)])
+            assert_same_poly(p + q, reference_sum(p, q))
+            assert_same_poly(p - q, reference_sum(p, q, -1))
+            assert_same_poly(-p, MuPoly({e: -c for e, c in p._coeffs.items()}))
+            assert_same_poly(p * q, reference_product(p, q))
+            want = MuPoly({e: c * scalar for e, c in p._coeffs.items()})
+            assert_same_poly(p * scalar, want)
+            assert_same_poly(scalar * p, want)
+            assert (p + -p).is_zero and (p - p).is_zero and (p * 0).is_zero and (p * Fraction(0)).is_zero
+
+    def test_cancelling_sums_drop_their_terms(self):
+        p = MuPoly({0: 1, 1: Fraction(-1, 2), 3: 2})
+        q = MuPoly({1: Fraction(1, 2), 3: -2, 4: 1})
+        assert (p + q)._coeffs == {0: 1, 4: 1}
+        assert (p * MuPoly({0: 1, 1: -1}) + p * MuPoly.mu(1)) == p
+        assert (MuPoly({0: 1, 1: 1}) * MuPoly({0: 1, 1: -1}))._coeffs == {0: 1, 2: -1}
 
 
 class TestNormalOrder:
@@ -601,9 +704,12 @@ class TestWordKernel:
         bridge = with_mu(fam)
         values = []
         for terms in bridge_terms(words):
-            value = tccr.symbolic._model_vacuum_value(bridge, terms)
+            value = tccr.symbolic._model_vacuum_values(bridge, [terms])[0]
             assert bits(value) == bits(padded_vacuum_value(bridge, terms, block_entries)), terms
             values.append(value)
+        # one pass for all the term lists, its blocks split as the same monkeypatch sets them
+        batched = tccr.symbolic._model_vacuum_values(bridge, bridge_terms(words))
+        assert np.array(batched).view(np.float64).tobytes() == np.array(values).view(np.float64).tobytes()
         assert any(values) and got.any()
 
     @pytest.mark.parametrize("make", short_word_families())
@@ -638,7 +744,7 @@ class TestWordKernel:
                 cols, vals = padded_word_columns(fam, w)
                 assert got.cols.tobytes() == cols.tobytes() and got.vals.tobytes() == vals.tobytes(), w
             for terms in bridge_terms(words):
-                got = tccr.symbolic._model_vacuum_value(fam, terms)
+                got = tccr.symbolic._model_vacuum_values(fam, [terms])[0]
                 want_value = padded_vacuum_value(fam, terms)
                 # the reference's identity padding can turn an infinite part into NaN; both stay non-finite
                 if np.isfinite(want_value):
@@ -722,7 +828,7 @@ class TestVacuumColumnBridge:
             p = random_polynomial(d, 5, rng)
             report = eval_and_bridge(p, fam)
             assert report.all_passed, (k, report.worst())
-            got = tccr.symbolic._model_vacuum_value(fam, p.terms())
+            got = tccr.symbolic._model_vacuum_values(fam, [p.terms()])[0]
             assert bits(got) == bits(full_product_vacuum_value(fam, p)), (k, d, cap, mu, p)
 
     @pytest.mark.parametrize("d,j", [(1, 0), (2, 1), (3, 2)])
@@ -734,7 +840,7 @@ class TestVacuumColumnBridge:
         values = []
         for _ in range(30):
             p = random_polynomial(d, 6, rng)
-            got = tccr.symbolic._model_vacuum_value(fam, p.terms())
+            got = tccr.symbolic._model_vacuum_values(fam, [p.terms()])[0]
             assert bits(got) == bits(full_product_vacuum_value(fam, p)), p
             values.append(got)
         assert any(v.imag for v in values)
@@ -750,11 +856,11 @@ class TestVacuumColumnBridge:
             "killed only": word(gen(2), gen_star(1)),
         }
         for name, p in edges.items():
-            got = tccr.symbolic._model_vacuum_value(fam, p.terms())
+            got = tccr.symbolic._model_vacuum_values(fam, [p.terms()])[0]
             assert bits(got) == bits(full_product_vacuum_value(fam, p)), name
             assert eval_and_bridge(p, fam).all_passed, name
-        assert tccr.symbolic._model_vacuum_value(fam, []) == 0j
-        assert bits(tccr.symbolic._model_vacuum_value(fam, edges["killed only"].terms())) == bits(0j)
+        assert tccr.symbolic._model_vacuum_values(fam, [[]])[0] == 0j
+        assert bits(tccr.symbolic._model_vacuum_values(fam, [edges["killed only"].terms()])[0]) == bits(0j)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_value_that_no_row_reaches(self):
@@ -764,7 +870,7 @@ class TestVacuumColumnBridge:
         fam = TccrFamily(basis=basis, ops=(raise_, vacuum), mu=0.5)
         # column 1 of a1 holds the infinite entry; the vacuum column never reaches it
         p = word(gen(2), gen(1)) + word(gen(2)) + NcPolynomial.one()
-        got = tccr.symbolic._model_vacuum_value(fam, p.terms())
+        got = tccr.symbolic._model_vacuum_values(fam, [p.terms()])[0]
         assert got == 2 and bits(got) == bits(full_product_vacuum_value(fam, p))
 
     def test_fills_no_word_cache(self):
@@ -772,3 +878,67 @@ class TestVacuumColumnBridge:
         for k in range(20):
             assert eval_and_bridge(seeded_poly(f"cache:{k}", d=3, max_degree=6), fam).all_passed
         assert fam.word_cache == {}
+
+
+class TestBatchedBridge:
+    """One kernel pass per family for all of a campaign's polynomials."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batched_values_match_one_polynomial_at_a_time(self, d, seed):
+        rng = random.Random(f"batched-bridge:{d}:{seed}")
+        polys = [random_polynomial(d, 5, rng) for _ in range(20)] + [NcPolynomial.zero(), NcPolynomial.one()]
+        rng.shuffle(polys)
+        terms = [p.terms() for p in polys]
+        irrep = build_irrep(IrrepSpec(d, d - 1, 6, math.pi / 3))
+        families = [build_fock_tccr(d, mu, 5) for mu in (-0.9, 0.3, 0.7)]
+        families.append(TccrFamily(basis=irrep.basis, ops=irrep.ops, mu=0.3))
+        for fam in families:
+            batched = np.array(tccr.symbolic._model_vacuum_values(fam, terms))
+            single = np.array([tccr.symbolic._model_vacuum_values(fam, [t])[0] for t in terms])
+            assert batched.view(np.float64).tobytes() == single.view(np.float64).tobytes(), fam.mu
+            assert [bits(v) for v in batched] == [bits(full_product_vacuum_value(fam, p)) for p in polys]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batched_checks_match_one_polynomial_at_a_time(self, d):
+        rng = random.Random(f"batched-checks:{d}")
+        polys = {f"p{k}/": random_polynomial(d, 5, rng) for k in range(12)}
+        families = {f"mu{mu}": build_fock_tccr(d, mu, 5) for mu in (-0.9, 0.3, 0.7)}
+        batched, single = (VerificationReport(command="bridge", params={}) for _ in range(2))
+        texts = tccr.symbolic._add_bridge_checks(batched, polys, d, families, 1e-10)
+        for key, p in polys.items():
+            assert tccr.symbolic._add_bridge_checks(single, {key: p}, d, families, 1e-10) == [p.to_text()]
+        assert texts == [p.to_text() for p in polys.values()]
+        assert [c.id for c in batched.checks][:3] == ["p0/mu-0.9", "p0/mu0.3", "p0/mu0.7"]
+        assert batched.to_json() == single.to_json() and batched.all_passed
+
+    def test_gram_campaign_makes_one_kernel_pass_per_family(self, monkeypatch):
+        plans = []
+        word_levels = tccr.symbolic._word_levels
+
+        def counting(family, plan, columns, read):
+            plans.append((family.mu, plan, columns.tolist()))
+            return word_levels(family, plan, columns, read)
+
+        monkeypatch.setattr(tccr.symbolic, "_word_levels", counting)
+        report = run_gram(2, 3, 5, 20, 70, 1e-10)
+        assert sum(c.id.startswith("bridge/") for c in report.checks) == 60 and report.all_passed
+        assert [mu for mu, _, _ in plans] == [-0.9, 0.3, 0.7]
+        assert len({id(plan) for _, plan, _ in plans}) == 1
+        assert all(columns == [0] for _, _, columns in plans)
+
+    def test_degree_beyond_a_cap_raises_before_any_work(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("no kernel pass or exact value before the degree check")
+
+        monkeypatch.setattr(tccr.symbolic, "_word_levels", unreachable)
+        monkeypatch.setattr(tccr.symbolic, "vacuum_expectation", unreachable)
+        polys = {"p0/": word(gen(1), gen_star(1)), "p1/": NcPolynomial.from_word((gen(1),) * 4)}
+        families = {"low": build_fock_tccr(1, 0.5, 3), "high": build_fock_tccr(1, 0.5, 8)}
+        report = VerificationReport(command="bridge", params={})
+        message = "polynomial degree 4 exceeds cap 3; vacuum expectation would be truncated"
+        with pytest.raises(TruncationError, match=message):
+            tccr.symbolic._add_bridge_checks(report, polys, 1, families, 1e-10)
+        with pytest.raises(TruncationError, match=message):
+            eval_and_bridge(polys["p1/"], families["low"])
+        assert report.checks == []
