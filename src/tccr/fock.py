@@ -357,14 +357,6 @@ class LinearOperator:
 
     __rmul__ = __mul__
 
-    def power(self, k: int) -> "LinearOperator":
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        out = identity(self.basis)
-        for _ in range(k):
-            out = out @ self
-        return out
-
 
 def identity(basis: FockBasis) -> LinearOperator:
     return _closed(basis, np.arange(basis.dim, dtype=np.intp), np.ones(basis.dim, dtype=complex))

@@ -24,15 +24,21 @@ in its order, and makes one operator at the end.
 stage calculus as a named residual check, and ``roundtrip_check`` verifies that
 the two constructions invert each other.  Each reconstructs its input; the
 private bodies ``_stage_identities`` and ``_roundtrip`` take that
-reconstruction instead, so a campaign that runs both shares one.
+reconstruction instead, so a campaign that runs both shares one.  The stage
+identities are relation sets in the t_k, the stages and the defects P_j
+(``stage_relations``), measured like the deformed and partial-isometry
+relations on one family of those operators, with no operator product.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import Letter, MuPoly, NcPolynomial, gen, gen_star
 from .families import GeneratorFamily, TccrFamily
 from .fock import (
     LinearOperator,
@@ -49,7 +55,10 @@ from .fock import (
 from .relations import (
     DERIVED_TOL,
     MODEL_TOL,
+    Relation,
+    RelationSet,
     pi_residuals,
+    relation_residuals,
     tccr_residuals,
 )
 from .report import VerificationReport
@@ -63,6 +72,7 @@ __all__ = [
     "isometries_from_generators",
     "generators_from_isometries",
     "verify_stage_identities",
+    "stage_relations",
     "roundtrip_check",
 ]
 
@@ -188,7 +198,9 @@ def generators_from_isometries(t: GeneratorFamily, mu: float) -> tuple[TccrFamil
 
 
 def _require_power_cap(cap: int, max_power: int = 3) -> None:
-    """Raise unless ``cap`` holds the occupations ``2 * max_power`` that the power identities reach."""
+    """Raise unless ``max_power`` is an int >= 1 and ``cap`` holds the occupations ``2 * max_power`` it reaches."""
+    if type(max_power) is not int or max_power < 1:
+        raise ValueError(f"max_power must be an int >= 1, got {max_power!r}")
     if 2 * max_power > cap:
         raise TruncationError(f"power identities up to {max_power} need cap >= {2 * max_power}, got {cap}")
 
@@ -200,17 +212,77 @@ def verify_stage_identities(
     tolerance: float = MODEL_TOL,
     max_power: int = 3,
 ) -> VerificationReport:
-    """Every identity of the stage calculus as a named residual check.
-
-    Groups: stage projection (P_j stage(i,j) = stage(i,j+1)) and the
-    fixed-point form it implies, the annihilation identities between
-    used-up generators and later stages, the power identities t_j*^n t_j^m,
-    the diagonal deformed relation at every stage level, and the three
-    cross-stage exchange identities.
-    """
+    """Every identity of the stage calculus as a named residual check, one group per set of ``stage_relations``."""
     _require_power_cap(t.basis.cap, max_power)
     _, trace = generators_from_isometries(t, mu)
     return _stage_identities(t, mu, trace, tolerance=tolerance, max_power=max_power)
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def stage_relations(d: int, max_power: int) -> tuple[RelationSet, ...]:
+    """The stage calculus as relation sets, one per check group in report order.
+
+    Groups: stage projection (P_j stage(i,j) = stage(i,j+1)) and the fixed-point
+    form it implies, the annihilation identities between used-up generators and
+    later stages, the power identities t_j*^n t_j^m, the diagonal deformed
+    relation at every stage level, and the three cross-stage exchange identities.
+    Letter x_k is t_k for k <= d, then stage(i, j) in ascending (i, j), then
+    P_0..P_d.  Each relation carries its check's description and core level: 3
+    for the step and fix groups, n + m for t_j*^n t_j^m, and 2 for the others.
+    """
+    if d < 1 or type(max_power) is not int or max_power < 1:
+        raise ValueError(f"d and max_power must be ints >= 1, got {d!r} and {max_power!r}")
+    pairs = [(i, j) for i in range(1, d + 1) for j in range(1, i + 1)]
+    stage = {ij: gen(d + n) for n, ij in enumerate(pairs, 1)}
+    star = {ij: letter.adjoint() for ij, letter in stage.items()}
+    defect = [gen(d + len(stage) + 1 + j) for j in range(d + 1)]
+    zero, mu, mu2, one_minus_mu2 = NcPolynomial.zero(), MuPoly.mu(1), MuPoly.mu(2), MuPoly({0: 1, 2: -1})
+    names = "stage_step defect_fix annihilate powers level_diag cross_kill exchange_own exchange_down"
+    groups: dict[str, list[Relation]] = {name: [] for name in names.split()}
+
+    def word(*letters: Letter) -> NcPolynomial:
+        return NcPolynomial.from_word(letters)
+
+    def add(label: str, description: str, lhs: NcPolynomial, rhs: NcPolynomial, core_level: int = 2) -> None:
+        groups[label.split("/")[0]].append(Relation(label, lhs, rhs, core_level, description))
+
+    for j, n, m in itertools.product(range(1, d + 1), range(1, max_power + 1), range(1, max_power + 1)):
+        if n > m:
+            rhs, desc = word(*[gen_star(j)] * (n - m)), f"t{j}*^{n} t{j}^{m} = t{j}*^{n - m}"
+        elif n == m:
+            rhs, desc = word(defect[j - 1]), f"t{j}*^{n} t{j}^{n} = P_{j - 1}"
+        else:
+            rhs, desc = word(*[gen(j)] * (m - n)), f"t{j}*^{n} t{j}^{m} = t{j}^{m - n}"
+        add(f"powers/j{j}n{n}m{m}", desc, word(*[gen_star(j)] * n, *[gen(j)] * m), rhs, n + m)
+    for i, j in stage:
+        # P_{j-1} + mu^2 stage(i,j) stage(i,j)* - (1 - mu^2) sum_{j<=k<i} stage(k,j) stage(k,j)*
+        rhs = word(defect[j - 1]) + word(stage[(i, j)], star[(i, j)]) * mu2
+        for k in range(j, i):
+            rhs = rhs - word(stage[(k, j)], star[(k, j)]) * one_minus_mu2
+        add(f"level_diag/i{i}j{j}",
+            f"stage({i},{j})* stage({i},{j}) solves the diagonal deformed relation at level {j}",
+            word(star[(i, j)], stage[(i, j)]), rhs)
+        for k in range(j + 1, i + 1):
+            add(f"cross_kill/i{i}k{k}j{j}", f"stage({i},{k})* stage({j},{j}) = 0",
+                word(star[(i, k)], stage[(j, j)]), zero)
+        if j == i:
+            continue
+        up, down = stage[(i, j + 1)], star[(i, j + 1)]
+        add(f"stage_step/i{i}j{j}", f"P_{j} stage({i},{j}) = stage({i},{j + 1})",
+            word(defect[j], stage[(i, j)]), word(up), 3)
+        for k in range(1, j + 1):
+            add(f"defect_fix/i{i}j{j}k{k}", f"P_{k} stage({i},{j + 1}) = stage({i},{j + 1})",
+                word(defect[k], up), word(up), 3)
+            cases = {"left": (gen_star(k), up), "right": (up, gen(k)),
+                     "left_adj": (gen_star(k), down), "right_adj": (down, gen(k))}
+            for name, letters in cases.items():
+                add(f"annihilate/i{i}j{j}k{k}/{name}",
+                    f"annihilation between t_{k} and stage({i},{j + 1}) [{name}]", word(*letters), zero)
+            label = f"exchange_own/i{i}j{j}" if k == j else f"exchange_down/i{i}j{j}k{k}"
+            add(label, f"stage({i},{k})* stage({j},{k}) = mu stage({j},{k}) stage({i},{k})*",
+                word(star[(i, k)], stage[(j, k)]), word(stage[(j, k)], star[(i, k)]) * mu)
+    kind = f"stages({d},{max_power})/"
+    return tuple(RelationSet(kind=kind + name, relations=tuple(rels)) for name, rels in groups.items() if rels)
 
 
 def _stage_identities(
@@ -221,142 +293,18 @@ def _stage_identities(
     tolerance: float = MODEL_TOL,
     max_power: int = 3,
 ) -> VerificationReport:
-    """The body of ``verify_stage_identities`` on the trace of ``generators_from_isometries(t, mu)``."""
-    d = t.d
-    stages = trace.stages
-    defects = trace.defects
-    report = VerificationReport(
-        command="verify_stage_identities",
-        params={
-            "d": d,
-            "mu": mu,
-            "cap": t.basis.cap,
-            "max_power": max_power,
-            "tolerance": tolerance,
-        },
-    )
+    """The body of ``verify_stage_identities`` on the trace of ``generators_from_isometries(t, mu)``.
 
-    # P_j stage(i, j) = stage(i, j+1) for j < i
-    for i in range(1, d + 1):
-        for j in range(1, i):
-            residual = core_residual(defects[j] @ stages[(i, j)], stages[(i, j + 1)], 3)
-            report.add(
-                f"stage_step/i{i}j{j}",
-                f"P_{j} stage({i},{j}) = stage({i},{j + 1})",
-                residual,
-                tolerance,
-            )
-
-    # P_k stage(i, j+1) = stage(i, j+1) for k <= j < i
-    for i in range(1, d + 1):
-        for j in range(1, i):
-            for k in range(1, j + 1):
-                lhs = defects[k] @ stages[(i, j + 1)]
-                residual = core_residual(lhs, stages[(i, j + 1)], 3)
-                report.add(
-                    f"defect_fix/i{i}j{j}k{k}",
-                    f"P_{k} stage({i},{j + 1}) = stage({i},{j + 1})",
-                    residual,
-                    tolerance,
-                )
-
-    # t_k* stage(i, j+1) = 0 = stage(i, j+1) t_k and adjoints, for k <= j < i
-    zero_op = 0.0 * identity(t.basis)
-    for i in range(1, d + 1):
-        for j in range(1, i):
-            stage = stages[(i, j + 1)]
-            for k in range(1, j + 1):
-                t_k = t.ops[k - 1]
-                cases = {
-                    "left": t_k.adjoint() @ stage,
-                    "right": stage @ t_k,
-                    "left_adj": t_k.adjoint() @ stage.adjoint(),
-                    "right_adj": stage.adjoint() @ t_k,
-                }
-                for name, op in cases.items():
-                    report.add(
-                        f"annihilate/i{i}j{j}k{k}/{name}",
-                        f"annihilation between t_{k} and stage({i},{j + 1}) [{name}]",
-                        core_residual(op, zero_op, 2),
-                        tolerance,
-                    )
-
-    # t_j*^n t_j^m power identities
-    for j in range(1, d + 1):
-        powers = [t.ops[j - 1].power(n) for n in range(max_power + 1)]
-        star_powers = [p.adjoint() for p in powers]
-        for n in range(1, max_power + 1):
-            for m in range(1, max_power + 1):
-                lhs = star_powers[n] @ powers[m]
-                if n > m:
-                    rhs = star_powers[n - m]
-                    desc = f"t{j}*^{n} t{j}^{m} = t{j}*^{n - m}"
-                elif n == m:
-                    rhs = defects[j - 1]
-                    desc = f"t{j}*^{n} t{j}^{n} = P_{j - 1}"
-                else:
-                    rhs = powers[m - n]
-                    desc = f"t{j}*^{n} t{j}^{m} = t{j}^{m - n}"
-                report.add(
-                    f"powers/j{j}n{n}m{m}",
-                    desc,
-                    core_residual(lhs, rhs, n + m),
-                    tolerance,
-                )
-
-    # stage(i,j)* stage(i,j) = P_{j-1} + mu^2 stage(i,j) stage(i,j)*
-    #                          - (1 - mu^2) sum_{j<=k<i} stage(k,j) stage(k,j)*
-    for i in range(1, d + 1):
-        for j in range(1, i + 1):
-            a_ij = stages[(i, j)]
-            rhs = defects[j - 1] + (mu * mu) * (a_ij @ a_ij.adjoint())
-            for k in range(j, i):
-                a_kj = stages[(k, j)]
-                rhs = rhs - (1.0 - mu * mu) * (a_kj @ a_kj.adjoint())
-            report.add(
-                f"level_diag/i{i}j{j}",
-                f"stage({i},{j})* stage({i},{j}) solves the diagonal deformed relation at level {j}",
-                core_residual(a_ij.adjoint() @ a_ij, rhs, 2),
-                tolerance,
-            )
-
-    # stage(i,k)* stage(j,j) = 0 for j < k <= i
-    for i in range(1, d + 1):
-        for j in range(1, i + 1):
-            for k in range(j + 1, i + 1):
-                lhs = stages[(i, k)].adjoint() @ stages[(j, j)]
-                report.add(
-                    f"cross_kill/i{i}k{k}j{j}",
-                    f"stage({i},{k})* stage({j},{j}) = 0",
-                    core_residual(lhs, zero_op, 2),
-                    tolerance,
-                )
-
-    # stage(i,j)* stage(j,j) = mu stage(j,j) stage(i,j)* for j < i
-    for i in range(1, d + 1):
-        for j in range(1, i):
-            lhs = stages[(i, j)].adjoint() @ stages[(j, j)]
-            rhs = mu * (stages[(j, j)] @ stages[(i, j)].adjoint())
-            report.add(
-                f"exchange_own/i{i}j{j}",
-                f"stage({i},{j})* stage({j},{j}) = mu stage({j},{j}) stage({i},{j})*",
-                core_residual(lhs, rhs, 2),
-                tolerance,
-            )
-
-    # stage(i,k)* stage(j,k) = mu stage(j,k) stage(i,k)* for k < j < i
-    for i in range(1, d + 1):
-        for j in range(1, i):
-            for k in range(1, j):
-                lhs = stages[(i, k)].adjoint() @ stages[(j, k)]
-                rhs = mu * (stages[(j, k)] @ stages[(i, k)].adjoint())
-                report.add(
-                    f"exchange_down/i{i}j{j}k{k}",
-                    f"stage({i},{k})* stage({j},{k}) = mu stage({j},{k}) stage({i},{k})*",
-                    core_residual(lhs, rhs, 2),
-                    tolerance,
-                )
-
+    One family holds the letters of ``stage_relations``; each set is one ``relation_residuals`` call.
+    """
+    params = {"d": t.d, "mu": mu, "cap": t.basis.cap, "max_power": max_power, "tolerance": tolerance}
+    report = VerificationReport(command="verify_stage_identities", params=params)
+    stages = (trace.stages[ij] for ij in sorted(trace.stages))
+    family = GeneratorFamily(basis=t.basis, ops=(*t.ops, *stages, *trace.defects))
+    for relset in stage_relations(t.d, max_power):
+        report.extend(relation_residuals(
+            family, relset, mu, command=report.command, params=params, tolerance=tolerance, symbol="t",
+        ))
     return report
 
 

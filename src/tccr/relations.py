@@ -3,10 +3,9 @@
 The two relation families are expressed once as exact formal polynomials and
 measured as core residuals against operator families, so every check in a
 report names the identity it measures.  A relation set is measured with one
-pass of the suffix-shared word kernel per relation degree, over the core
-columns only; a relation whose terms could collide falls back to the operator
-path of ``core_residual``.  ``tccr_relations`` and ``pi_relations`` depend
-only on d, so each set is built once per d and its check descriptions once per
+pass of the suffix-shared word kernel per core level, over the core columns
+only; a relation whose terms could collide falls back to the operator path of
+``core_residual``.  ``tccr_relations`` and ``pi_relations`` depend only on d, so each set is built once per d and its check descriptions once per
 symbol, behind small bounded caches.  Alongside the residual reports this module houses
 the operator-norm bound check, the sampled norm-domination evidence, and the
 slot-collapse map that sends the vacuum-cyclic family onto each lower class,
@@ -75,9 +74,19 @@ DERIVED_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Relation:
+    """lhs = rhs on occupations at most cap - ``core_level`` (default: the degree), and its check text."""
+
     label: str
     lhs: NcPolynomial
     rhs: NcPolynomial
+    core_level: int | None = None
+    description: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.core_level is None:
+            object.__setattr__(self, "core_level", self.degree)
+        elif self.core_level < 0:
+            raise ValueError(f"core level must be >= 0, got {self.core_level}")
 
     @property
     def degree(self) -> int:
@@ -102,7 +111,7 @@ class RelationSet:
 
     def adjoint(self) -> "RelationSet":
         flipped = tuple(
-            Relation(r.label + "/adj", r.lhs.adjoint(), r.rhs.adjoint())
+            Relation(r.label + "/adj", r.lhs.adjoint(), r.rhs.adjoint(), r.core_level)
             for r in self.relations
         )
         return RelationSet(kind=self.kind + "/adj", relations=flipped)
@@ -186,21 +195,7 @@ def qccr_relations() -> RelationSet:
 
 @functools.lru_cache(maxsize=16)
 def _descriptions(relset: RelationSet, symbol: str) -> tuple[str, ...]:
-    return tuple(f"{r.lhs.to_text(symbol)} = {r.rhs.to_text(symbol)}" for r in relset.relations)
-
-
-def _letter_offsets(family) -> list[int | None]:
-    """Row minus column of each letter code's live entries, or None for a letter with two offsets.
-
-    A letter of one offset moves every column where it is live by that many
-    basis indices (a letter with no live entry counts as offset 0), so a word of
-    such letters moves each column where it is live by its letters' offset sum.
-    """
-    rows = family.letter_tables[0][:, :-1]
-    moves, live = rows - np.arange(rows.shape[1]), rows >= 0
-    low = np.where(live, moves, np.iinfo(np.intp).max).min(axis=1)
-    high = np.where(live, moves, np.iinfo(np.intp).min).max(axis=1)
-    return [0 if lo > hi else int(lo) if lo == hi else None for lo, hi in zip(low, high)]
+    return tuple(r.description or f"{r.lhs.to_text(symbol)} = {r.rhs.to_text(symbol)}" for r in relset.relations)
 
 
 def _word_offset(word: Word, offsets: list[int | None]) -> int | None:
@@ -223,28 +218,28 @@ def _core_sum(values: np.ndarray, at: dict[Word, int], terms, mu: float) -> np.n
 def _kernel_residuals(family, relations: Sequence[Relation], mu: float) -> list[float | None]:
     """Core residual of each relation the word kernel measures exactly, and None for the others.
 
-    A relation qualifies when its letters lie in 1..d, its degree fits under the
-    cap and all of its terms move basis vectors by one offset.  Then both sides
+    A relation qualifies when its letters lie in 1..d, its core level fits under
+    the cap and all of its terms move basis vectors by one offset.  Then both sides
     and their difference are monomial with column c in row c + offset, so the
     residual is the largest modulus of lhs - rhs over the core columns, and the
     kernel's products of those columns alone hold the same bits as the full ones.
     """
     d, basis = len(family.ops), family.basis
-    offsets = _letter_offsets(family)
-    # degree -> (position, (lhs terms, rhs terms)) of each relation the kernel measures
-    by_degree: dict[int, list] = {}
+    offsets = family.letter_offsets
+    # core level -> (position, (lhs terms, rhs terms)) of each relation the kernel measures
+    by_level: dict[int, list] = {}
     for k, rel in enumerate(relations):
         sides = rel.lhs.terms(), rel.rhs.terms()
         words = [w for terms in sides for w, _ in terms]
-        if rel.degree > basis.cap or any(not 1 <= l.index <= d for w in words for l in w):
+        if rel.core_level > basis.cap or any(not 1 <= l.index <= d for w in words for l in w):
             continue
         moves = {_word_offset(w, offsets) for w in words}
         if None not in moves and len(moves) <= 1:
-            by_degree.setdefault(rel.degree, []).append((k, sides))
+            by_level.setdefault(rel.core_level, []).append((k, sides))
     residuals: list[float | None] = [None] * len(relations)
-    for degree, members in by_degree.items():
+    for level, members in by_level.items():
         words = list(dict.fromkeys(w for _, sides in members for terms in sides for w, _ in terms))
-        columns = np.flatnonzero(basis.core_mask(basis.cap - degree))
+        columns = np.flatnonzero(basis.core_mask(basis.cap - level))
         values = np.zeros((len(words), len(columns)), dtype=complex)
 
         def read(rows, vals, ends, nodes):
@@ -269,18 +264,19 @@ def relation_residuals(
     symbol: str = "a",
     id_prefix: str = "",
 ) -> VerificationReport:
-    """One core-residual check per relation in the set, from one kernel pass per relation degree.
+    """One core-residual check per relation in the set, from one kernel pass per core level.
 
-    The relations of one degree share one suffix plan of their words, evaluated
-    over the core columns only (every occupation at most cap - degree), and
-    each relation's residual is read from those columns; no word cache is
-    filled.  A relation the pass cannot measure exactly goes through
-    ``core_residual(evaluate_poly(lhs), evaluate_poly(rhs), degree)`` in
-    relation order, so it keeps that path's residual or exception: one with a
-    letter outside 1..d or a degree above the cap (both raise), or one whose
-    terms do not all move basis vectors by a single offset, so that its sides
-    or their difference may not be monomial.  The relation sets of this module
-    move by one offset per relation on every family the package builds.
+    A relation is measured on the core columns of its core level (its degree
+    unless it names another): every occupation at most cap - level.  The
+    relations of one level share one suffix plan of their words, evaluated over
+    those columns only; no word cache is filled.  A relation the pass cannot
+    measure exactly goes through ``core_residual(evaluate_poly(lhs),
+    evaluate_poly(rhs), level)`` in relation order, so it keeps that path's
+    residual or exception: one with a letter outside 1..d or a core level above
+    the cap (both raise), or one whose terms do not all move basis vectors by a
+    single offset, so that its sides or their difference may not be monomial.
+    The relation sets of this package move by one offset per relation on every
+    family it builds.
     """
     report = VerificationReport(command=command, params=params)
     residuals = _kernel_residuals(family, relset.relations, mu)
@@ -288,7 +284,7 @@ def relation_residuals(
         if residual is None:
             lhs = evaluate_poly(family, rel.lhs, mu)
             rhs = evaluate_poly(family, rel.rhs, mu)
-            residual = core_residual(lhs, rhs, rel.degree)
+            residual = core_residual(lhs, rhs, rel.core_level)
         report.add(id_prefix + rel.label, description, residual, tolerance)
     return report
 

@@ -269,3 +269,35 @@ class TestSharedWork:
         for d in (2, 3, 2, 3):
             assert main(["roundtrip", "--d", str(d), "--cap", "6", "--out", str(tmp_path / "r.json")]) == 0
         assert sorted(built) == ["PI(2)", "PI(3)", "TCCR(mu,2)", "TCCR(mu,3)"]
+
+    def test_the_stage_suite_takes_one_adjoint_per_letter_and_no_operator_product(self, monkeypatch, tmp_path):
+        import tccr.relations
+        from tccr.fock import LinearOperator
+
+        calls = {"adjoint": 0, "matmul": 0, "core_residual": 0}
+        inside = [False]
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += inside[0]
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(LinearOperator, "adjoint", counting("adjoint", LinearOperator.adjoint))
+        monkeypatch.setattr(LinearOperator, "__matmul__", counting("matmul", LinearOperator.__matmul__))
+        monkeypatch.setattr(tccr.relations, "core_residual", counting("core_residual", tccr.relations.core_residual))
+        suite = tccr.cli._stage_identities
+
+        def flagged(*args, **kwargs):
+            inside[0] = True
+            try:
+                return suite(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(tccr.cli, "_stage_identities", flagged)
+        assert main(["roundtrip", "--d", "3", "--cap", "6", "--out", str(tmp_path / "r.json")]) == 0
+        # 13 letters: t_1..t_3, the 6 stages and P_0..P_3; the operator loops took 56 adjoints
+        assert calls["adjoint"] <= 13
+        assert calls["matmul"] == calls["core_residual"] == 0

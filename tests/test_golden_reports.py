@@ -26,7 +26,8 @@ The ``roundtrip`` digests at mu = -0.6 and mu = 0 were taken before the
 conjugation series moved from operator objects to column maps and before a
 roundtrip campaign shared one reconstruction between its roundtrip and its
 stage suite; with mu = 0.5 alone, a sign slip in the series' weights would
-pass unseen.
+pass unseen.  The d = 4, mu = -0.6, cap 10 digest was taken before the stage
+suite moved from operator loops to relation sets on the word kernel.
 """
 
 import hashlib
@@ -44,6 +45,8 @@ GOLDEN = {
     "roundtrip --d 2 --mu 0.0 --cap 6": "e50d1f6b428c42da39c6b32e81f164b19ae4f252e9459eed26bb9108ddf96f48",
     # dim 16807: the largest relation-set passes
     "roundtrip --d 5 --mu 0.5 --cap 6": "f90f107736aeb09e8c22fd1007c3b042cf319d316f51dc04235611c29978b126",
+    # dim 14641: the largest cap and a negative mu, so the longest level_diag sums of the stage suite
+    "roundtrip --d 4 --mu -0.6 --cap 10": "a4888b15ca98d9697fddb04b926a198acc67e50638c011235926640da3a799bb",
     "verify --d 3 --cap 8": "ccc568eac640549cd75e058cc8a6412e58c1770376f61e9eaf758a452edc5352",
     "irreps --d 3 --cap 6": "b9c60f9c4d4dbf1d877b208015d0f59081a69322f0b6cb545875ba2adbc5dd47",
     "qccr": "eac7bba195c6021ff766427d681b7d9af10c882b8527044b74708ab20c376f96",

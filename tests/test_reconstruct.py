@@ -1,23 +1,29 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from tccr.algebra import gen
 from tccr.families import IrrepSpec, TccrFamily, build_fock_tccr, build_irrep, build_qccr_single
 from tccr.fock import LinearOperator, core_residual, identity, operator_norm, polar_left, psd_sqrt
 from tccr.reconstruct import (
     PreconditionError,
+    _stage_identities,
     conjugation_series,
     generators_from_isometries,
     isometries_from_generators,
     positive_part_squared,
     roundtrip_check,
+    stage_relations,
     verify_stage_identities,
     weighted_range_series,
 )
 from tccr.relations import tccr_residuals
+from tccr.report import VerificationReport
 
 import operator_fold_reference
+import stage_loops_reference
 
 
 def max_entry_gap(ops_a, ops_b):
@@ -308,10 +314,107 @@ class TestStageIdentitySuite:
         rhs = identity(t.basis) + (mu * mu) * (a1 @ a1.adjoint())
         assert core_residual(a1.adjoint() @ a1, rhs, 2) <= 1e-10
 
+    @pytest.mark.parametrize("max_power", [0, -2, True, 2.5])
+    def test_rejects_an_invalid_max_power(self, max_power):
+        t = build_irrep(IrrepSpec(d=2, class_j=2, cap=8))
+        with pytest.raises(ValueError, match="max_power must be an int >= 1"):
+            verify_stage_identities(t, 0.5, max_power=max_power)
+
+    @pytest.mark.parametrize("max_power, total", [(1, 13), (2, 19), (3, 29)])
+    def test_max_power_sets_the_power_group(self, max_power, total):
+        report = verify_stage_identities(build_irrep(IrrepSpec(d=2, class_j=2, cap=8)), 0.5, max_power=max_power)
+        assert report.total == total and report.params["max_power"] == max_power
+        assert report.all_passed, report.worst()
+
     def test_non_fock_class_suite(self):
         t = build_irrep(IrrepSpec(d=2, class_j=1, cap=6, phase=math.pi))
         report = verify_stage_identities(t, 0.5)
         assert report.all_passed, report.worst()
+
+
+def raw_stage_checks(monkeypatch, suite, t, mu, trace):
+    """The report of ``suite`` and the residuals it handed to the report, before the report rounds them."""
+    seen = []
+    add = VerificationReport.add
+
+    def record(self, id, description, residual, tolerance):
+        seen.append(residual)
+        return add(self, id, description, residual, tolerance)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(VerificationReport, "add", record)
+        report = suite(t, mu, trace)
+    assert len(seen) == report.total
+    return report, seen
+
+
+class TestStageRelations:
+    def test_built_once_per_d_and_max_power(self):
+        assert stage_relations(3, 3) is stage_relations(3, 3)
+        assert [len(s.relations) for s in stage_relations(3, 3)] == [3, 4, 16, 27, 6, 4, 3, 1]
+        assert [len(s.relations) for s in stage_relations(1, 2)] == [4, 1]
+
+    @pytest.mark.parametrize("d, max_power", [(0, 3), (2, 0), (2, True), (2, 2.5)])
+    def test_rejects_what_would_drop_a_group(self, d, max_power):
+        with pytest.raises(ValueError, match="d and max_power must be ints >= 1"):
+            stage_relations(d, max_power)
+
+    def test_letters_and_core_levels(self):
+        # d = 2: t_1, t_2, then stage(1,1), stage(2,1), stage(2,2), then P_0, P_1, P_2
+        rels = {r.label: r for s in stage_relations(2, 3) for r in s.relations}
+        step = rels["stage_step/i2j1"]
+        assert [w for w, _ in step.lhs.terms()] == [(gen(7), gen(4))]
+        assert [w for w, _ in step.rhs.terms()] == [(gen(5),)]
+        assert step.description == "P_1 stage(2,1) = stage(2,2)"
+        for label, rel in rels.items():
+            group = label.split("/")[0]
+            if group == "powers":
+                assert rel.core_level == rel.degree
+            else:
+                assert rel.core_level == (3 if group in ("stage_step", "defect_fix") else 2), label
+
+
+class TestStageSuiteAgainstOperatorLoops:
+    """The relation sets on the word kernel against the operator loops they replaced."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("mu", [0.5, -0.6, 0.0, -0.7, -0.4, 0.9])
+    def test_same_checks_and_residuals(self, monkeypatch, d, mu):
+        for cap in (6, 7, 8):
+            t = build_irrep(IrrepSpec(d=d, class_j=d, cap=cap))
+            _, trace = generators_from_isometries(t, mu)
+            got, got_raw = raw_stage_checks(monkeypatch, _stage_identities, t, mu, trace)
+            want, want_raw = raw_stage_checks(monkeypatch, stage_loops_reference.stage_identities, t, mu, trace)
+            assert (got.command, got.params) == (want.command, want.params)
+            assert [(c.id, c.description, c.tolerance) for c in got.checks] == [
+                (c.id, c.description, c.tolerance) for c in want.checks
+            ]
+            for check, g, w in zip(got.checks, got_raw, want_raw):
+                if check.id.startswith("level_diag/"):
+                    # the relation adds its right-hand terms in word order, the loop in the order it wrote them
+                    assert abs(g - w) <= 1e-15, (cap, check.id)
+                else:
+                    assert g == w, (cap, check.id)
+
+    @pytest.mark.parametrize("class_j, phase", [(1, math.pi), (0, 0.5), (2, math.pi / 3)])
+    def test_phase_classes_agree_to_rounding(self, monkeypatch, class_j, phase):
+        # a phase generator's powers round by the order of their products, which the two paths do not share
+        t = build_irrep(IrrepSpec(d=3, class_j=class_j, cap=6, phase=phase))
+        _, trace = generators_from_isometries(t, -0.6)
+        _, got = raw_stage_checks(monkeypatch, _stage_identities, t, -0.6, trace)
+        _, want = raw_stage_checks(monkeypatch, stage_loops_reference.stage_identities, t, -0.6, trace)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15
+
+    def test_a_perturbed_stage_fails_both_paths_alike(self, monkeypatch):
+        t = build_irrep(IrrepSpec(d=2, class_j=2, cap=6))
+        _, trace = generators_from_isometries(t, 0.5)
+        bad = dataclasses.replace(trace, stages={**trace.stages, (2, 1): 1.001 * trace.stages[(2, 1)]})
+        got, got_raw = raw_stage_checks(monkeypatch, _stage_identities, t, 0.5, bad)
+        want, want_raw = raw_stage_checks(monkeypatch, stage_loops_reference.stage_identities, t, 0.5, bad)
+        failed = [c.id for c in got.failures()]
+        assert failed == [c.id for c in want.failures()]
+        assert {"stage_step/i2j1", "level_diag/i2j1"} <= set(failed)
+        assert got_raw == want_raw
 
 
 class TestProofEquivalents:

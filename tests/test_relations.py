@@ -10,7 +10,7 @@ import tccr.symbolic
 from tccr import relations
 from tccr.cli import main
 from tccr.families import IrrepSpec, TccrFamily, build_fock_tccr, build_irrep
-from tccr.fock import core_residual, operator_norm
+from tccr.fock import TruncationError, core_residual, operator_norm
 from tccr.relations import (
     DEFECT,
     SHIFT,
@@ -156,7 +156,7 @@ class TestQccrResiduals:
 def reference_residuals(family, relset, mu):
     """Every relation through the operator path: each side built term by term, then ``core_residual``."""
     return [
-        core_residual(evaluate_poly(family, r.lhs, mu), evaluate_poly(family, r.rhs, mu), r.degree)
+        core_residual(evaluate_poly(family, r.lhs, mu), evaluate_poly(family, r.rhs, mu), r.core_level)
         for r in relset.relations
     ]
 
@@ -243,6 +243,60 @@ class TestKernelResiduals:
         passes.clear()
         kernel_residuals(monkeypatch, fam, mixed_degree_set(3), 0.5)
         assert sorted(columns for _, columns in passes) == [64, 125, 216, 343]
+
+
+class TestCoreLevel:
+    """A relation's core level sets the columns it is measured on; it defaults to the degree."""
+
+    def test_default_is_the_degree_and_the_adjoint_keeps_it(self):
+        rel = relation("a1* a1", "1")
+        assert rel.core_level == rel.degree == 2
+        raised = Relation("r", rel.lhs, rel.rhs, core_level=4)
+        [flipped] = RelationSet(kind="k", relations=(raised,)).adjoint().relations
+        assert (flipped.core_level, flipped.degree) == (4, 2)
+        with pytest.raises(ValueError, match="core level"):
+            Relation("r", rel.lhs, rel.rhs, core_level=-1)
+
+    def test_description_replaces_the_text_of_the_sides(self):
+        relset = RelationSet(kind="k", relations=(
+            relation("a1* a1", "1 + mu^2 a1 a1*"),
+            Relation("named", NcPolynomial.one(), NcPolynomial.one(), description="one is one"),
+        ))
+        report = measure(build_fock_tccr(1, 0.5, 4), relset, 0.5)
+        assert [c.description for c in report.checks] == ["a1* a1 = 1 + mu^2 a1 a1*", "one is one"]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_level_equals_the_operator_path(self, monkeypatch, d):
+        cap = 5
+        fam, ref = build_fock_tccr(d, 0.5, cap), build_fock_tccr(d, 0.5, cap)
+        for level in range(cap + 1):
+            relset = RelationSet(kind=f"level{level}", relations=tuple(
+                Relation(r.label, r.lhs, r.rhs, core_level=level) for r in mixed_degree_set(d).relations
+            ))
+            got = kernel_residuals(monkeypatch, fam, relset, 0.5)
+            assert fam.word_cache == {}
+            assert got == reference_residuals(ref, relset, 0.5), level
+            # only level 0 holds the vectors at the cap, which a1 kills, so a1* a1 = 1 + mu^2 a1 a1* fails there
+            assert (got[2] > 0.1) == (level == 0)
+
+    def test_a_level_above_the_cap_raises_as_before(self):
+        rel = Relation("r", NcPolynomial.one(), NcPolynomial.one(), core_level=5)
+        with pytest.raises(TruncationError, match="exceeds cap 4"):
+            measure(build_fock_tccr(1, 0.5, 4), RelationSet(kind="k", relations=(rel,)), 0.5)
+
+    def test_one_kernel_pass_per_level(self, monkeypatch):
+        levels = tccr.symbolic._word_levels
+        passes = []
+
+        def count(family, plans, columns, read):
+            passes.append((len(plans.words), len(columns)))
+            return levels(family, plans, columns, read)
+
+        monkeypatch.setattr(relations, "_word_levels", count)
+        rels = [Relation(r.label, r.lhs, r.rhs, core_level=2 + k % 2) for k, r in enumerate(tccr_relations(3).relations)]
+        measure(build_fock_tccr(3, 0.5, 6), RelationSet(kind="split", relations=tuple(rels)), 0.5)
+        # one pass over the 5^3 vectors with every occupation <= 4, one over the 4^3 with every occupation <= 3
+        assert sorted(columns for _, columns in passes) == [64, 125]
 
 
 class TestFalseRelations:
