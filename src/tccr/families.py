@@ -69,7 +69,7 @@ class IrrepSpec:
 
 
 class _LetterTables:
-    """Letter tables and letter offsets of a family of generators ``ops``, built on first use."""
+    """Letter tables of a family of generators ``ops``, built on first use."""
 
     @functools.cached_property
     def letter_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -85,20 +85,6 @@ class _LetterTables:
             for code, mono in ((2 * k, op.adjoint().monomial), (2 * k + 1, op.monomial)):
                 rows[code, :dim], vals[code, :dim] = mono.cols, mono.vals.conj()
         return rows, vals
-
-    @functools.cached_property
-    def letter_offsets(self) -> list[int | None]:
-        """Row minus column of each letter code's live entries, or None for a letter with two offsets.
-
-        A letter of one offset moves every column where it is live by that many
-        basis indices (a letter with no live entry counts as offset 0), so a word of
-        such letters moves each column where it is live by its letters' offset sum.
-        """
-        rows = self.letter_tables[0][:, :-1]
-        moves, live = rows - np.arange(rows.shape[1]), rows >= 0
-        low = np.where(live, moves, np.iinfo(np.intp).max).min(axis=1)
-        high = np.where(live, moves, np.iinfo(np.intp).min).max(axis=1)
-        return [0 if lo > hi else int(lo) if lo == hi else None for lo, hi in zip(low, high)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -241,25 +241,13 @@ def _require_injective(cols: np.ndarray) -> None:
         raise ValueError("monomial rows share a column")
 
 
-def _monomial_of_dense(mat: np.ndarray) -> Monomial:
-    """The monomial form of a square matrix; ValueError if a row or column has two nonzeros."""
-    nonzero = mat != 0
-    per_row = np.count_nonzero(nonzero, axis=1)
-    if per_row.max() > 1 or np.count_nonzero(nonzero, axis=0).max() > 1:
-        raise ValueError("matrix is not monomial: a row or column holds two nonzeros")
-    cols = np.where(per_row == 1, nonzero.argmax(axis=1), -1)
-    # an empty row reads its (zero) last entry
-    return Monomial(cols, mat[np.arange(mat.shape[0]), cols])
-
-
 @dataclass(frozen=True, eq=False)
 class LinearOperator:
     """Complex monomial operator attached to a basis.
 
-    ``monomial`` may be given as a :class:`Monomial` or as a square array with
-    at most one nonzero per row and per column, which is converted; any other
-    array raises ``ValueError``.  ``matrix`` is a dense read-only view for
-    tests and diagnostics.  Arithmetic is closed over one basis; combining
+    ``monomial`` must be a :class:`Monomial`; anything else raises
+    ``ValueError``.  ``matrix`` is a dense read-only view for tests and
+    diagnostics.  Arithmetic is closed over one basis; combining
     operators on different bases raises :class:`BasisMismatchError`, and a sum
     that would hold two nonzeros in a row or column raises ``ValueError``.
     Stored arrays are frozen after construction, so operators can be shared
@@ -277,14 +265,9 @@ class LinearOperator:
             # stored as a plain Monomial, so passing it to the constructor again validates it
             object.__setattr__(self, "monomial", Monomial(data.cols, data.vals))
             return
-        dim = self.basis.dim
         if not isinstance(data, Monomial):
-            mat = np.asarray(data, dtype=complex)
-            if mat.shape != (dim, dim):
-                raise ValueError(
-                    f"matrix shape {mat.shape} does not match basis dimension {dim}"
-                )
-            data = _monomial_of_dense(mat)
+            raise ValueError(f"an operator is given as a Monomial, not {type(data).__name__}")
+        dim = self.basis.dim
         cols = np.array(data.cols, dtype=np.intp)
         vals = np.array(data.vals, dtype=complex)
         if cols.shape != (dim,) or vals.shape != (dim,):
@@ -387,16 +370,41 @@ def operator_norm(a: LinearOperator) -> float:
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest singular value of a rectangular block, via the Hermitian Gram form.
-
-    Cheaper than a full SVD for the tall thin blocks produced by core
-    projections; accuracy is limited only by eigvalsh rounding.
-    """
+    """Largest singular value of a dense block, via the Hermitian Gram form."""
     if matrix.size == 0:
         return 0.0
     gram = matrix.conj().T @ matrix
     top = float(np.linalg.eigvalsh(gram)[-1])
     return float(np.sqrt(max(top, 0.0)))
+
+
+def _entries_norm(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> float:
+    """Spectral norm of the matrix holding ``vals`` at distinct positions ``(rows, cols)``.
+
+    The largest modulus if no row or column holds two nonzeros, else the largest norm of
+    the blocks sharing no row or column: each entry takes the smallest entry number along
+    its rows and columns until nothing changes.
+    """
+    nonzero = vals != 0
+    rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+    if np.bincount(rows, minlength=1).max() <= 1 and np.bincount(cols, minlength=1).max() <= 1:
+        return float(np.max(np.abs(vals), initial=0.0))
+    lines = [np.unique(line, return_inverse=True)[1] for line in (rows, cols)]
+    label, spread = None, np.arange(len(vals))
+    while not np.array_equal(label, spread):
+        label = spread
+        for line in lines:
+            low = np.full(line.max() + 1, len(vals))
+            np.minimum.at(low, line, spread)
+            spread = low[line]
+    order = np.argsort(label, kind="stable")
+    best = 0.0
+    for block in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
+        r, c = (np.unique(line[block], return_inverse=True)[1] for line in lines)
+        dense = np.zeros((r.max() + 1, c.max() + 1), dtype=complex)
+        dense[r, c] = vals[block]
+        best = max(best, spectral_norm(dense))
+    return best
 
 
 def psd_sqrt(a: LinearOperator) -> LinearOperator:
@@ -465,23 +473,20 @@ def core_residual(lhs: LinearOperator, rhs: LinearOperator, degree: int) -> floa
     ``degree`` is the longest generator word appearing in the relation; a word
     of that length cannot push a vector with all occupations <= cap - degree
     past the cap, so a true relation gives exactly zero up to float rounding.
-    A monomial difference has norm max|v| over the entries in core columns
-    (exactly 0 when there are none).  A difference that is not monomial, which
-    only a false relation produces, is measured on its dense core block.
+    The sides' core entries are merged row by row and measured by ``_entries_norm``.
     """
     lhs._check_same_basis(rhs)
     basis = lhs.basis
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+        raise ValueError(f"degree must be an int >= 0, got {degree!r}")
     if degree > basis.cap:
         raise TruncationError(
             f"relation degree {degree} exceeds cap {basis.cap}; increase the truncation"
         )
-    mask = basis.core_mask(basis.cap - degree)
-    try:
-        mono = (lhs - rhs).monomial
-    except ValueError:
-        return spectral_norm((lhs.matrix - rhs.matrix)[:, mask])
-    live = mono.cols >= 0
-    kept = mono.vals[live][mask[mono.cols[live]]]
-    return float(np.max(np.abs(kept), initial=0.0))
+    (lcols, lvals), (rcols, rvals) = lhs._pair, rhs._pair
+    # column -1 reads the appended False; a row with one column on both sides holds their difference
+    core = np.append(basis.core_mask(basis.cap - degree), False)
+    lkeep, rkeep = core[lcols], core[rcols] & (rcols != lcols)
+    lvals = np.where(lcols == rcols, lvals - rvals, lvals)
+    rows = np.r_[np.flatnonzero(lkeep), np.flatnonzero(rkeep)]
+    return _entries_norm(rows, np.r_[lcols[lkeep], rcols[rkeep]], np.r_[lvals[lkeep], -rvals[rkeep]])

@@ -4,12 +4,14 @@ The two relation families are expressed once as exact formal polynomials and
 measured as core residuals against operator families, so every check in a
 report names the identity it measures.  A relation set is measured with one
 pass of the suffix-shared word kernel per core level, over the core columns
-only; a relation whose terms could collide falls back to the operator path of
-``core_residual``.  ``tccr_relations`` and ``pi_relations`` depend only on d, so each set is built once per d and its check descriptions once per
-symbol, behind small bounded caches.  Alongside the residual reports this module houses
-the operator-norm bound check, the sampled norm-domination evidence, and the
-slot-collapse map that sends the vacuum-cyclic family onto each lower class,
-with tensor words evaluated by slot index arithmetic.
+only, whatever the relations; a false relation whose difference is not
+monomial is measured block by block from its core entries.  ``tccr_relations``
+and ``pi_relations`` depend only on d, so each set is built once per d and its
+check descriptions once per symbol, behind small bounded caches.  Alongside
+the residual reports this module houses the operator-norm bound check, the
+sampled norm-domination evidence, and the slot-collapse map that sends the
+vacuum-cyclic family onto each lower class, with tensor words evaluated by
+slot index arithmetic.
 """
 
 from __future__ import annotations
@@ -29,16 +31,17 @@ from .families import (
     build_irrep,
     geometric_sum,
 )
-from .fock import LinearOperator, Monomial, core_residual, enumerate_basis, identity, operator_norm
+from .fock import LinearOperator, Monomial, TruncationError, _entries_norm, core_residual, enumerate_basis
+from .fock import identity, operator_norm
 from .report import VerificationReport
 from .symbolic import (
     _SuffixPlans,
+    _check_indices,
     _word_levels,
     _word_norms_each,
     MuPoly,
     NcPolynomial,
     Word,
-    evaluate_poly,
     gen,
     gen_star,
     random_word,
@@ -85,8 +88,8 @@ class Relation:
     def __post_init__(self) -> None:
         if self.core_level is None:
             object.__setattr__(self, "core_level", self.degree)
-        elif self.core_level < 0:
-            raise ValueError(f"core level must be >= 0, got {self.core_level}")
+        elif isinstance(self.core_level, bool) or not isinstance(self.core_level, int) or self.core_level < 0:
+            raise ValueError(f"core level must be an int >= 0, got {self.core_level!r}")
 
     @property
     def degree(self) -> int:
@@ -198,11 +201,6 @@ def _descriptions(relset: RelationSet, symbol: str) -> tuple[str, ...]:
     return tuple(r.description or f"{r.lhs.to_text(symbol)} = {r.rhs.to_text(symbol)}" for r in relset.relations)
 
 
-def _word_offset(word: Word, offsets: list[int | None]) -> int | None:
-    moves = [offsets[2 * l.index - 2 + l.starred] for l in word]
-    return None if None in moves else sum(moves)
-
-
 def _core_sum(values: np.ndarray, at: dict[Word, int], terms, mu: float) -> np.ndarray:
     """A side's values in the core columns, its terms added in order as ``evaluate_poly`` adds each row.
 
@@ -215,41 +213,58 @@ def _core_sum(values: np.ndarray, at: dict[Word, int], terms, mu: float) -> np.n
     return total
 
 
-def _kernel_residuals(family, relations: Sequence[Relation], mu: float) -> list[float | None]:
-    """Core residual of each relation the word kernel measures exactly, and None for the others.
+def _entries_residual(targets, values, columns, at, sides, mu: float) -> float:
+    """Norm of lhs - rhs from the sides' live core entries, each side summed per (row, column) in term order."""
+    words = [at[w] for terms in sides for w, _ in terms]
+    coeffs = np.array([complex(c.evaluate(mu)) for terms in sides for _, c in terms])
+    side = np.repeat([0, 1], [len(terms) for terms in sides])[:, None]
+    rows = targets[words]
+    live = rows >= 0
+    positions, inverse = np.unique((rows * len(columns) + np.arange(len(columns)))[live], return_inverse=True)
+    sums = np.zeros((2, len(positions)), dtype=complex)
+    np.add.at(sums, (np.broadcast_to(side, rows.shape)[live], inverse), (values[words] * coeffs[:, None])[live])
+    rows, at_column = np.divmod(positions, len(columns))
+    return _entries_norm(rows, columns[at_column], sums[0] - sums[1])
 
-    A relation qualifies when its letters lie in 1..d, its core level fits under
-    the cap and all of its terms move basis vectors by one offset.  Then both sides
-    and their difference are monomial with column c in row c + offset, so the
-    residual is the largest modulus of lhs - rhs over the core columns, and the
-    kernel's products of those columns alone hold the same bits as the full ones.
+
+def _kernel_residuals(family, relations: Sequence[Relation], mu: float) -> list[float]:
+    """Core residual of each relation, validated in order first, from one kernel pass per core level.
+
+    If all live entries of a relation's words move their columns by one offset,
+    lhs - rhs is monomial and its norm the largest modulus per core column.
     """
     d, basis = len(family.ops), family.basis
-    offsets = family.letter_offsets
-    # core level -> (position, (lhs terms, rhs terms)) of each relation the kernel measures
     by_level: dict[int, list] = {}
     for k, rel in enumerate(relations):
         sides = rel.lhs.terms(), rel.rhs.terms()
-        words = [w for terms in sides for w, _ in terms]
-        if rel.core_level > basis.cap or any(not 1 <= l.index <= d for w in words for l in w):
-            continue
-        moves = {_word_offset(w, offsets) for w in words}
-        if None not in moves and len(moves) <= 1:
-            by_level.setdefault(rel.core_level, []).append((k, sides))
-    residuals: list[float | None] = [None] * len(relations)
+        _check_indices((w for terms in sides for w, _ in terms), d)
+        if rel.core_level > basis.cap:
+            raise TruncationError(f"relation degree {rel.core_level} exceeds cap {basis.cap}; increase the truncation")
+        by_level.setdefault(rel.core_level, []).append((k, sides))
+    residuals = [0.0] * len(relations)
     for level, members in by_level.items():
         words = list(dict.fromkeys(w for _, sides in members for terms in sides for w, _ in terms))
         columns = np.flatnonzero(basis.core_mask(basis.cap - level))
-        values = np.zeros((len(words), len(columns)), dtype=complex)
+        targets = np.empty((len(words), len(columns)), dtype=np.intp)
+        values = np.zeros(targets.shape, dtype=complex)
 
         def read(rows, vals, ends, nodes):
-            values[ends] = np.where(rows[nodes] >= 0, vals[nodes], 0)
+            targets[ends] = hit = rows[nodes]
+            values[ends] = np.where(hit >= 0, vals[nodes], 0)
 
         _word_levels(family, _SuffixPlans(words), columns, read)
+        # each word's lowest and highest move (row - column) over its live entries; a dead word is neutral
+        moves = np.where(targets < 0, basis.dim, targets - columns)
+        low = moves.min(axis=1).tolist()
+        high = np.where(targets < 0, -basis.dim, moves).max(axis=1).tolist()
         at = {w: n for n, w in enumerate(words)}
-        for k, (lhs, rhs) in members:
-            diff = _core_sum(values, at, lhs, mu) - _core_sum(values, at, rhs, mu)
-            residuals[k] = float(np.max(np.abs(diff), initial=0.0))
+        for k, sides in members:
+            used = [at[w] for terms in sides for w, _ in terms]
+            if min((low[n] for n in used), default=0) >= max((high[n] for n in used), default=0):
+                diff = _core_sum(values, at, sides[0], mu) - _core_sum(values, at, sides[1], mu)
+                residuals[k] = float(np.max(np.abs(diff), initial=0.0))
+            else:
+                residuals[k] = _entries_residual(targets, values, columns, at, sides, mu)
     return residuals
 
 
@@ -269,22 +284,13 @@ def relation_residuals(
     A relation is measured on the core columns of its core level (its degree
     unless it names another): every occupation at most cap - level.  The
     relations of one level share one suffix plan of their words, evaluated over
-    those columns only; no word cache is filled.  A relation the pass cannot
-    measure exactly goes through ``core_residual(evaluate_poly(lhs),
-    evaluate_poly(rhs), level)`` in relation order, so it keeps that path's
-    residual or exception: one with a letter outside 1..d or a core level above
-    the cap (both raise), or one whose terms do not all move basis vectors by a
-    single offset, so that its sides or their difference may not be monomial.
-    The relation sets of this package move by one offset per relation on every
-    family it builds.
+    those columns only; no word cache is filled.  A letter outside 1..d or a
+    core level above the cap raises, in relation order, before any pass.  A
+    false relation whose difference is not monomial is measured block by block.
     """
     report = VerificationReport(command=command, params=params)
     residuals = _kernel_residuals(family, relset.relations, mu)
     for rel, residual, description in zip(relset.relations, residuals, _descriptions(relset, symbol)):
-        if residual is None:
-            lhs = evaluate_poly(family, rel.lhs, mu)
-            rhs = evaluate_poly(family, rel.rhs, mu)
-            residual = core_residual(lhs, rhs, rel.core_level)
         report.add(id_prefix + rel.label, description, residual, tolerance)
     return report
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +147,23 @@ class TestDeterminism:
         assert run(capsys, "demo", "--out", str(first))[0] == 0
         assert run(capsys, "demo", "--out", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestDependencies:
+    def test_demo_imports_numpy_and_no_scipy(self, tmp_path):
+        # pyproject.toml declares numpy alone, so a scipy import would fail where only the package is installed
+        src = Path(tccr.cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        probe = (
+            "import sys; from tccr.cli import main; "
+            "code = main(['demo', '--out', sys.argv[1]]); "
+            "print(code, 'numpy' in sys.modules, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path / "demo.json")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.split("\n")[-2] == "0 True []"
 
 
 class TestSubcommands:

@@ -5,7 +5,6 @@ from tccr.families import IrrepSpec, build_fock_tccr, build_irrep, geometric_sum
 from tccr.fock import (
     BasisMismatchError,
     CapacityError,
-    LinearOperator,
     NotPositiveError,
     TruncationError,
     core_residual,
@@ -16,6 +15,7 @@ from tccr.fock import (
     psd_sqrt,
     zero,
 )
+from dense_reference import dense_operator
 from test_monomial import random_monomial
 
 
@@ -109,7 +109,7 @@ class TestOperatorNorm:
 
     def test_non_finite_entries_rejected(self):
         basis = enumerate_basis(1, 1)
-        bad = LinearOperator(basis, np.array([[np.nan, 0], [0, 1]], dtype=complex))
+        bad = dense_operator(basis, np.array([[np.nan, 0], [0, 1]], dtype=complex))
         with pytest.raises(ValueError, match="non-finite"):
             operator_norm(bad)
 
@@ -179,19 +179,19 @@ class TestPsdSqrt:
 
     def test_not_psd_reports_eigenvalue(self):
         basis = enumerate_basis(1, 1)
-        flipped = LinearOperator(basis, np.diag([1.0, -1.0]).astype(complex))
+        flipped = dense_operator(basis, np.diag([1.0, -1.0]).astype(complex))
         with pytest.raises(NotPositiveError, match="-1"):
             psd_sqrt(flipped)
 
     def test_non_hermitian_rejected(self):
         basis = enumerate_basis(1, 1)
-        skew = LinearOperator(basis, np.array([[0, 1], [0, 0]], dtype=complex))
+        skew = dense_operator(basis, np.array([[0, 1], [0, 0]], dtype=complex))
         with pytest.raises(NotPositiveError, match="Hermitian"):
             psd_sqrt(skew)
 
     def test_tiny_negative_eigenvalues_clamped(self):
         basis = enumerate_basis(1, 1)
-        wobble = LinearOperator(basis, np.diag([1.0, -5e-11]).astype(complex))
+        wobble = dense_operator(basis, np.diag([1.0, -5e-11]).astype(complex))
         root = psd_sqrt(wobble)
         assert root.matrix[1, 1] == 0.0
 
@@ -209,7 +209,7 @@ class TestPolarLeft:
         basis = enumerate_basis(1, 5)
         q = np.zeros((basis.dim, basis.dim), dtype=complex)
         q[np.arange(basis.dim), rng.permutation(basis.dim)] = np.exp(2j * np.pi * rng.random(basis.dim))
-        u = LinearOperator(basis, q)
+        u = dense_operator(basis, q)
         pair = polar_left(u)
         assert np.max(np.abs(pair.isometric_part.matrix - q)) <= 1e-12
         assert np.max(np.abs(pair.positive_part.matrix - np.eye(basis.dim))) <= 1e-12
@@ -276,6 +276,13 @@ class TestCoreResidual:
         basis = enumerate_basis(1, 4)
         with pytest.raises(TruncationError, match="degree 5"):
             core_residual(identity(basis), identity(basis), 5)
+
+    @pytest.mark.parametrize("degree", [2.5, 1.0, True, -1])
+    def test_degree_that_is_not_an_int_from_zero_rejected(self, degree):
+        # at cap 4, degree 2.5 would measure on the occupations <= 1.5, the level of degree 3
+        basis = enumerate_basis(1, 4)
+        with pytest.raises(ValueError, match="degree must be an int >= 0"):
+            core_residual(identity(basis), identity(basis), degree)
 
     def test_truncated_isometry_defect_is_quarantined(self):
         # t* t = 1 fails only on the top slice; the core projection hides it

@@ -28,6 +28,8 @@ from tccr.fock import (
 )
 from tccr.reconstruct import generators_from_isometries, positive_part_squared
 
+from dense_reference import dense_operator
+
 SIZES = ((1, 6), (2, 4), (3, 3))
 PHASES = (0.0, math.pi / 3, math.pi)
 MU = 0.5
@@ -99,7 +101,7 @@ class TestStorageForm:
         _, ops = pool(d, cap, class_j, phase)
         for op in ops:
             assert is_monomial_matrix(op.matrix)
-            again = LinearOperator(op.basis, op.matrix)
+            again = dense_operator(op.basis, op.matrix)
             assert np.array_equal(again.monomial.cols, op.monomial.cols)
             assert np.array_equal(again.matrix, op.matrix)
 
@@ -109,13 +111,13 @@ class TestStorageForm:
         row[0, 0] = row[0, 2] = 1.0
         for mat in (row, row.T):
             with pytest.raises(ValueError, match="not monomial"):
-                LinearOperator(basis, mat)
+                dense_operator(basis, mat)
 
     def test_random_dense_matrix_is_rejected(self):
         rng = np.random.default_rng(1)
         basis = enumerate_basis(2, 4)
         with pytest.raises(ValueError, match="not monomial"):
-            LinearOperator(basis, rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25)))
+            dense_operator(basis, rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25)))
 
     def test_exact_zeros_are_dropped(self):
         basis = enumerate_basis(2, 3)
@@ -124,6 +126,11 @@ class TestStorageForm:
             assert np.all(empty.monomial.cols == -1)
             assert np.all(empty.monomial.vals == 0)
             assert np.all(empty.matrix == 0)
+
+    def test_an_array_is_rejected_with_a_clear_error(self):
+        basis = enumerate_basis(1, 2)
+        with pytest.raises(ValueError, match="given as a Monomial, not ndarray"):
+            LinearOperator(basis, np.eye(3))
 
     def test_invalid_monomials_rejected(self):
         basis = enumerate_basis(1, 2)
@@ -323,11 +330,11 @@ class TestDecompositions:
     def test_psd_sqrt_diagonal_errors_and_clamp(self):
         basis = enumerate_basis(1, 2)
         with pytest.raises(NotPositiveError, match="negative eigenvalue -1"):
-            psd_sqrt(LinearOperator(basis, np.diag([1.0, -1.0, 0.0])))
+            psd_sqrt(dense_operator(basis, np.diag([1.0, -1.0, 0.0])))
         with pytest.raises(NotPositiveError, match="Hermitian"):
-            psd_sqrt(LinearOperator(basis, np.diag([1.0, 1j, 0.0])))
+            psd_sqrt(dense_operator(basis, np.diag([1.0, 1j, 0.0])))
         wobble = np.diag([4.0, -5e-11, 1e-13])
-        root = psd_sqrt(LinearOperator(basis, wobble))
+        root = psd_sqrt(dense_operator(basis, wobble))
         assert np.array_equal(root.matrix, np.diag([2.0, 0.0, 0.0]).astype(complex))
         assert gap(root.matrix, ref_psd_sqrt(wobble.astype(complex))) <= 1e-15
 
@@ -371,6 +378,17 @@ class TestDecompositions:
         with pytest.raises(ValueError, match="not monomial"):
             t1 - t1.adjoint()
         assert got == pytest.approx(ref_core_residual(t1.matrix, t1.adjoint().matrix, fam.basis, 1), abs=1e-13)
+
+    @pytest.mark.parametrize("d,cap", SIZES)
+    def test_core_residual_of_random_monomials_matches_the_dense_norm(self, d, cap):
+        # the difference of two random monomials holds paths and cycles of any length
+        rng = np.random.default_rng(d * 10 + cap)
+        basis = enumerate_basis(d, cap)
+        for _ in range(20):
+            lhs, rhs = random_monomial(basis, rng), random_monomial(basis, rng)
+            for degree in range(cap + 1):
+                want = ref_core_residual(lhs.matrix, rhs.matrix, basis, degree)
+                assert core_residual(lhs, rhs, degree) == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 letters = st.tuples(st.integers(0, 2), st.booleans())

@@ -6,7 +6,7 @@ import pytest
 
 from tccr.algebra import gen
 from tccr.families import IrrepSpec, TccrFamily, build_fock_tccr, build_irrep, build_qccr_single
-from tccr.fock import LinearOperator, core_residual, identity, operator_norm, polar_left, psd_sqrt
+from tccr.fock import core_residual, identity, operator_norm, polar_left, psd_sqrt
 from tccr.reconstruct import (
     PreconditionError,
     _stage_identities,
@@ -23,6 +23,7 @@ from tccr.relations import tccr_residuals
 from tccr.report import VerificationReport
 
 import operator_fold_reference
+from dense_reference import dense_operator
 import stage_loops_reference
 
 
@@ -124,7 +125,7 @@ class TestColumnMapSeriesAgainstOperatorFold:
         mat = np.zeros((t.basis.dim, t.basis.dim), dtype=complex)
         for (row, col), value in entries.items():
             mat[row, col] = value
-        inner = LinearOperator(t.basis, mat)
+        inner = dense_operator(t.basis, mat)
         errors = []
         for series in (conjugation_series, operator_fold_reference.conjugation_series):
             with pytest.raises(ValueError, match=message) as err:

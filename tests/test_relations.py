@@ -33,10 +33,11 @@ from tccr.relations import (
 )
 from tccr.reconstruct import isometries_from_generators, roundtrip_check
 from tccr.report import Check, VerificationReport, merge_reports
-from tccr.symbolic import NcPolynomial, evaluate_poly, gen, gen_star, parse_polynomial, word_norms
+from tccr.symbolic import NcPolynomial, evaluate_poly, evaluate_word, gen, gen_star, parse_polynomial, random_polynomial, word_norms
 from tccr.families import build_qccr_single
 
 from kron_reference import defect_matrix, shift_matrix, tensor_word_kron
+from test_monomial import ref_core_residual
 
 
 class TestRelationSets:
@@ -161,6 +162,16 @@ def reference_residuals(family, relset, mu):
     ]
 
 
+def dense_residuals(family, relset, mu):
+    """Every relation's 2-norm of lhs - rhs on its core columns, each side summed as a dense matrix."""
+    dim = family.basis.dim
+
+    def dense(p):
+        return sum((complex(c.evaluate(mu)) * evaluate_word(family, w).matrix for w, c in p.terms()), np.zeros((dim, dim)))
+
+    return [ref_core_residual(dense(r.lhs), dense(r.rhs), family.basis, r.core_level) for r in relset.relations]
+
+
 def measure(family, relset, mu):
     return relations.relation_residuals(family, relset, mu, command="test", params={}, tolerance=1.0)
 
@@ -215,11 +226,12 @@ class TestKernelResiduals:
             for phase in (0.0, math.pi / 3)
         ]
         sets = [tccr_relations(d), pi_relations(d), qccr_relations()] + [mixed_degree_set(d)] * (cap >= 3)
+        # every relation here moves basis vectors by one offset on every family, so none leaves the one-move sum
+        monkeypatch.setattr(relations, "_entries_residual", None)
         for fam in families:
             for relset in [*sets, *(s.adjoint() for s in sets)]:
                 cached = len(fam.word_cache)
                 got = kernel_residuals(monkeypatch, fam, relset, mu)
-                # every relation here moves basis vectors by one offset, so none takes the operator path
                 assert len(fam.word_cache) == cached
                 assert got == reference_residuals(fam, relset, mu), (fam.spec, relset.kind)
 
@@ -256,6 +268,13 @@ class TestCoreLevel:
         assert (flipped.core_level, flipped.degree) == (4, 2)
         with pytest.raises(ValueError, match="core level"):
             Relation("r", rel.lhs, rel.rhs, core_level=-1)
+
+    @pytest.mark.parametrize("level", [2.5, 1.0, True])
+    def test_a_level_that_is_not_an_int_is_rejected(self, level):
+        # at cap 4, level 2.5 would measure on the occupations <= 1.5, the columns of level 3
+        rel = relation("a1* a1", "1")
+        with pytest.raises(ValueError, match="core level must be an int >= 0"):
+            Relation("r", rel.lhs, rel.rhs, core_level=level)
 
     def test_description_replaces_the_text_of_the_sides(self):
         relset = RelationSet(kind="k", relations=(
@@ -300,7 +319,7 @@ class TestCoreLevel:
 
 
 class TestFalseRelations:
-    """False relations keep the residual or exception of the operator path."""
+    """False relations fail with the 2-norm of lhs - rhs on the core columns, from the kernel alone."""
 
     def test_monomial_false_relation_keeps_its_residual(self, monkeypatch):
         fam = build_fock_tccr(1, 0.5, 6)
@@ -314,9 +333,8 @@ class TestFalseRelations:
         fam = build_fock_tccr(1, 0.5, 6)
         relset = RelationSet(kind="false", relations=(relation("a1", "a1*"),))
         got = kernel_residuals(monkeypatch, fam, relset, 0.5)
-        # the operator path evaluated both sides
-        assert set(fam.word_cache) == {(gen(1),), (gen_star(1),)}
-        assert got == reference_residuals(build_fock_tccr(1, 0.5, 6), relset, 0.5)
+        assert fam.word_cache == {}
+        assert got == pytest.approx(dense_residuals(build_fock_tccr(1, 0.5, 6), relset, 0.5), rel=1e-13)
         assert got[0] > 0.1
 
     @pytest.mark.parametrize(
@@ -327,14 +345,28 @@ class TestFalseRelations:
             ("a1 a1* + a1", 2),
         ],
     )
-    def test_non_monomial_side_raises_as_before(self, lhs, cap):
-        fam = build_fock_tccr(1, 0.5, cap)
+    def test_non_monomial_side_fails_with_the_dense_norm(self, monkeypatch, lhs, cap):
         relset = RelationSet(kind="false", relations=(relation(lhs, "0"),))
-        with pytest.raises(ValueError) as want:
+        with pytest.raises(ValueError, match="sum is not monomial"):
             reference_residuals(build_fock_tccr(1, 0.5, cap), relset, 0.5)
-        with pytest.raises(ValueError) as got:
-            measure(fam, relset, 0.5)
-        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+        got = kernel_residuals(monkeypatch, build_fock_tccr(1, 0.5, cap), relset, 0.5)
+        assert got == pytest.approx(dense_residuals(build_fock_tccr(1, 0.5, cap), relset, 0.5), rel=1e-13)
+        assert got[0] > 0.1
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_relations_match_the_dense_norm(self, monkeypatch, d):
+        rng = random.Random(f"false relations at d = {d}")
+        for cap in (3, 4):
+            families = [(build_fock_tccr(d, mu, cap), mu) for mu in (0.5, -0.6)] + [
+                (build_irrep(IrrepSpec(d=d, class_j=j, cap=cap, phase=1.0)), 0.0) for j in range(d + 1)
+            ]
+            for fam, mu in families:
+                relset = RelationSet(kind="random", relations=tuple(
+                    Relation(f"r{k}", random_polynomial(d, 3, rng), random_polynomial(d, 3, rng)) for k in range(6)
+                ))
+                got = kernel_residuals(monkeypatch, fam, relset, mu)
+                assert fam.word_cache == {}
+                assert got == pytest.approx(dense_residuals(fam, relset, mu), rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize(
         "rels",
@@ -342,6 +374,7 @@ class TestFalseRelations:
             # index 3 outside 1..2 first, then index 4, then a degree above the cap
             [("a1* a1", "1 + mu^2 a1 a1*"), ("a3", "0"), ("a4", "0"), ("a1 a1 a1", "0")],
             [("a1 a1 a1", "0"), ("a3", "0")],
+            # r0 is measured, so r1's degree above the cap raises
             [("a1 + a1*", "0"), ("a1 a1 a1", "0")],
             [("a1", "a1*"), ("a2 a1 a1", "0"), ("a1 + a2*", "0")],
         ],
@@ -356,7 +389,13 @@ class TestFalseRelations:
             ),
         )
         with pytest.raises(ValueError) as want:
-            reference_residuals(build_fock_tccr(d, 0.5, cap), relset, 0.5)
+            # the first error of the operator path, which also raised on a side that is not monomial
+            for rel in relset.relations:
+                try:
+                    reference_residuals(build_fock_tccr(d, 0.5, cap), RelationSet(kind="one", relations=(rel,)), 0.5)
+                except ValueError as exc:
+                    if "not monomial" not in str(exc):
+                        raise
         with pytest.raises(ValueError) as got:
             measure(build_fock_tccr(d, 0.5, cap), relset, 0.5)
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
@@ -385,6 +424,23 @@ class TestResidualMemory:
         assert retained < 2**20, retained / 2**20
         # the operator path peaked at 29 and 17 MB here, and kept 27 and 15 MB of cached words
         assert peak < 24 * 2**20, peak / 2**20
+
+    def test_a_false_relation_at_d5_fails_with_its_residual(self, monkeypatch):
+        fam = build_fock_tccr(5, 0.5, 6)
+        fam.letter_tables
+        relset = RelationSet(kind="false", relations=(Relation("r", NcPolynomial.generator(1), NcPolynomial.generator(2)),))
+        tracemalloc.start()
+        try:
+            direct = core_residual(fam.ops[0], fam.ops[1], 1)
+            [kernel] = kernel_residuals(monkeypatch, fam, relset, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert direct == pytest.approx(1.6327938097016, abs=1e-12)
+        assert kernel == pytest.approx(1.6327938097016, abs=1e-12)
+        assert fam.word_cache == {}
+        # the dense core block of a1 - a2 asked for one 16807^2 array, 4.2 GiB
+        assert peak < 60 * 2**20, peak / 2**20
 
     def test_roundtrip_fills_no_word_cache(self, monkeypatch):
         checked = []
