@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -381,9 +382,9 @@ def spectral_norm(matrix: np.ndarray) -> float:
 def _entries_norm(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> float:
     """Spectral norm of the matrix holding ``vals`` at distinct positions ``(rows, cols)``.
 
-    The largest modulus if no row or column holds two nonzeros, else the largest norm of
-    the blocks sharing no row or column: each entry takes the smallest entry number along
-    its rows and columns until nothing changes.
+    The largest modulus if no row or column holds two nonzeros, else the largest dense norm
+    of the blocks sharing no row or column, found by spreading the smallest entry number
+    along shared rows and columns until nothing changes; memory follows the largest block.
     """
     nonzero = vals != 0
     rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
@@ -473,11 +474,11 @@ def core_residual(lhs: LinearOperator, rhs: LinearOperator, degree: int) -> floa
     ``degree`` is the longest generator word appearing in the relation; a word
     of that length cannot push a vector with all occupations <= cap - degree
     past the cap, so a true relation gives exactly zero up to float rounding.
-    The sides' core entries are merged row by row and measured by ``_entries_norm``.
+    The sides' core entries are merged row by row and measured blockwise by ``_entries_norm``.
     """
     lhs._check_same_basis(rhs)
     basis = lhs.basis
-    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 0:
         raise ValueError(f"degree must be an int >= 0, got {degree!r}")
     if degree > basis.cap:
         raise TruncationError(

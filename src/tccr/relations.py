@@ -5,7 +5,7 @@ measured as core residuals against operator families, so every check in a
 report names the identity it measures.  A relation set is measured with one
 pass of the suffix-shared word kernel per core level, over the core columns
 only, whatever the relations; a false relation whose difference is not
-monomial is measured block by block from its core entries.  ``tccr_relations``
+monomial is measured densely per block of the core it connects.  ``tccr_relations``
 and ``pi_relations`` depend only on d, so each set is built once per d and its
 check descriptions once per symbol, behind small bounded caches.  Alongside
 the residual reports this module houses the operator-norm bound check, the
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -86,10 +87,10 @@ class Relation:
     description: str | None = None
 
     def __post_init__(self) -> None:
-        if self.core_level is None:
-            object.__setattr__(self, "core_level", self.degree)
-        elif isinstance(self.core_level, bool) or not isinstance(self.core_level, int) or self.core_level < 0:
-            raise ValueError(f"core level must be an int >= 0, got {self.core_level!r}")
+        level = self.degree if self.core_level is None else self.core_level
+        if isinstance(level, bool) or not isinstance(level, numbers.Integral) or level < 0:
+            raise ValueError(f"core level must be an int >= 0, got {level!r}")
+        object.__setattr__(self, "core_level", int(level))
 
     @property
     def degree(self) -> int:
@@ -286,7 +287,7 @@ def relation_residuals(
     relations of one level share one suffix plan of their words, evaluated over
     those columns only; no word cache is filled.  A letter outside 1..d or a
     core level above the cap raises, in relation order, before any pass.  A
-    false relation whose difference is not monomial is measured block by block.
+    false relation whose difference is not monomial is measured densely block by block.
     """
     report = VerificationReport(command=command, params=params)
     residuals = _kernel_residuals(family, relset.relations, mu)

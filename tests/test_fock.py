@@ -284,6 +284,13 @@ class TestCoreResidual:
         with pytest.raises(ValueError, match="degree must be an int >= 0"):
             core_residual(identity(basis), identity(basis), degree)
 
+    @pytest.mark.parametrize("degree", [np.int64(2), np.uint8(2)])
+    def test_degree_of_a_numpy_integer_type_accepted(self, degree):
+        fam = build_irrep(IrrepSpec(d=1, class_j=1, cap=5))
+        t = fam.ops[0]
+        assert core_residual(t, t.adjoint(), degree) == core_residual(t, t.adjoint(), 2) > 0.5
+        assert core_residual(t.adjoint() @ t, identity(fam.basis), degree) <= 1e-14
+
     def test_truncated_isometry_defect_is_quarantined(self):
         # t* t = 1 fails only on the top slice; the core projection hides it
         fam = build_irrep(IrrepSpec(d=1, class_j=1, cap=5))

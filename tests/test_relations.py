@@ -276,6 +276,15 @@ class TestCoreLevel:
         with pytest.raises(ValueError, match="core level must be an int >= 0"):
             Relation("r", rel.lhs, rel.rhs, core_level=level)
 
+    @pytest.mark.parametrize("level", [np.int64(1), np.uint8(1)])
+    def test_a_numpy_integer_level_is_taken_as_an_int(self, monkeypatch, level):
+        rel = relation("a1* a1", "1 + mu^2 a1 a1*")
+        numpy_level = Relation("r", rel.lhs, rel.rhs, core_level=level)
+        assert type(numpy_level.core_level) is int and numpy_level == Relation("r", rel.lhs, rel.rhs, core_level=1)
+        fam = build_fock_tccr(1, 0.5, 4)
+        got = kernel_residuals(monkeypatch, fam, RelationSet(kind="k", relations=(numpy_level,)), 0.5)
+        assert got == reference_residuals(build_fock_tccr(1, 0.5, 4), RelationSet(kind="k", relations=(numpy_level,)), 0.5)
+
     def test_description_replaces_the_text_of_the_sides(self):
         relset = RelationSet(kind="k", relations=(
             relation("a1* a1", "1 + mu^2 a1 a1*"),
