@@ -2,7 +2,9 @@
 
 Elements of the free *-algebra on letters ``x_1, .., x_d, x_1*, .., x_d*``
 are stored as maps from words to coefficients; coefficients are polynomials
-in the deformation parameter ``mu`` with exact rational coefficients.
+in the deformation parameter ``mu`` with exact rational coefficients.  The
+arithmetic is the same on ``int`` coefficients, which ``tccr.symbolic`` uses
+for values in Z[mu] before it returns them as ``Fraction`` polynomials.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class MuPoly:
 
     @classmethod
     def _closed(cls, coeffs: dict[int, Fraction]) -> "MuPoly":
-        # the arithmetic's own results: int exponents and nonzero Fractions, nothing to validate
+        # the arithmetic's own results: int exponents and nonzero coefficients of one type, nothing to validate
         out = cls.__new__(cls)
         out._coeffs = coeffs
         return out
@@ -141,7 +143,8 @@ class MuPoly:
         return hash(frozenset(self._coeffs.items()))
 
     def evaluate(self, mu: float) -> float:
-        return float(sum(float(c) * mu**e for e, c in self._coeffs.items()))
+        # what Fraction.__float__ computes, and defined for int coefficients too
+        return float(sum(c.numerator / c.denominator * mu**e for e, c in self._coeffs.items()))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -185,6 +188,13 @@ class NcPolynomial:
         self._terms = clean
 
     @classmethod
+    def _closed(cls, terms: dict[Word, MuPoly]) -> "NcPolynomial":
+        # the arithmetic's own results: tuple words and nonzero coefficients, nothing to validate
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
     def zero(cls) -> "NcPolynomial":
         return cls()
 
@@ -218,11 +228,15 @@ class NcPolynomial:
         out = dict(self._terms)
         for word, coeff in other._terms.items():
             acc = out.get(word)
-            out[word] = coeff if acc is None else acc + coeff
-        return NcPolynomial(out)
+            total = coeff if acc is None else acc + coeff
+            if total.is_zero:
+                del out[word]
+            else:
+                out[word] = total
+        return NcPolynomial._closed(out)
 
     def __neg__(self) -> "NcPolynomial":
-        return NcPolynomial({w: -c for w, c in self._terms.items()})
+        return NcPolynomial._closed({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
         return self + (-other)
@@ -231,7 +245,7 @@ class NcPolynomial:
         if isinstance(other, (int, Fraction)):
             other = MuPoly.const(other)
         if isinstance(other, MuPoly):
-            return NcPolynomial({w: c * other for w, c in self._terms.items()})
+            return NcPolynomial._closed({w: c * other for w, c in self._terms.items()} if other._coeffs else {})
         out: dict[Word, MuPoly] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
@@ -239,14 +253,14 @@ class NcPolynomial:
                 prod = c1 * c2
                 acc = out.get(word)
                 out[word] = prod if acc is None else acc + prod
-        return NcPolynomial(out)
+        return NcPolynomial._closed({w: c for w, c in out.items() if c._coeffs})
 
     def __rmul__(self, other: "MuPoly | Fraction | int") -> "NcPolynomial":
         return self * other
 
     def adjoint(self) -> "NcPolynomial":
         # coefficients are real rationals, so conjugation leaves them fixed
-        return NcPolynomial({word_adjoint(w): c for w, c in self._terms.items()})
+        return NcPolynomial._closed({word_adjoint(w): c for w, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NcPolynomial):

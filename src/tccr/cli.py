@@ -121,71 +121,77 @@ def _phase_list(text: str) -> list[float]:
     return phases
 
 
-def build_parser() -> argparse.ArgumentParser:
+# subcommand -> (help, its own arguments as (flag, add_argument keywords)); each also takes --out and --format
+_SUBCOMMANDS = {
+    "verify": ("relation residuals and the norm bound", (
+        ("--d", dict(type=_positive_int("d"), default=2)),
+        ("--mu", dict(type=_unit_interval("mu"), default=0.5)),
+        ("--cap", dict(type=_positive_int("cap", 2), default=8)),
+        ("--tol", dict(type=_positive_finite("tol"), default=1e-10)),
+    )),
+    "roundtrip": ("both inverse constructions plus the stage identity suite", (
+        ("--d", dict(type=_positive_int("d"), default=2)),
+        ("--mu", dict(type=_unit_interval("mu"), default=0.5)),
+        ("--cap", dict(type=_positive_int("cap", 2), default=8)),
+        ("--rank-tol", dict(type=_positive_finite("rank-tol"), default=1e-8)),
+        ("--tol", dict(type=_positive_finite("tol"), default=None,
+                       help="tolerance of every check (default: each check's pinned tolerance)")),
+    )),
+    "irreps": ("relation residuals for every class and phase", (
+        ("--d", dict(type=_positive_int("d"), default=2)),
+        ("--cap", dict(type=_positive_int("cap", 2), default=8)),
+        ("--class-j", dict(type=_positive_int("class-j", 0), default=None,
+                           help="restrict to one class (default: all of 0..d)")),
+        ("--phases", dict(type=_phase_list, default=DEFAULT_PHASES)),
+        ("--tol", dict(type=_positive_finite("tol"), default=1e-10)),
+    )),
+    "gram": ("exact vacuum pairing matrix, positivity, oracle bridge", (
+        ("--d", dict(type=_positive_int("d"), default=2)),
+        ("--level", dict(type=_positive_int("level", 0), default=2)),
+        ("--cap", dict(type=_positive_int("cap", 2), default=8)),
+        ("--bridge-count", dict(type=_positive_int("bridge-count", 0), default=20)),
+        ("--seed", dict(type=int, default=42)),
+        ("--tol", dict(type=_positive_finite("tol"), default=1e-10)),
+    )),
+    "faithfulness": ("collapse-map equalities and norm domination samples", (
+        ("--d", dict(type=_positive_int("d"), default=2)),
+        ("--cap", dict(type=_positive_int("cap", 2), default=12)),
+        ("--phase", dict(type=_phase, default=0.0)),
+        ("--words", dict(type=_positive_int("words"), default=100)),
+        ("--max-len", dict(type=_positive_int("max-len"), default=6)),
+        ("--seed", dict(type=int, default=42)),
+        ("--tol", dict(type=_positive_finite("tol"), default=1e-8)),
+    )),
+    "qccr": ("one-mode deformed generator and its polar identity", (
+        ("--q", dict(type=_unit_interval("q"), default=0.3)),
+        ("--cap", dict(type=_positive_int("cap", 2), default=12)),
+        ("--tol", dict(type=_positive_finite("tol"), default=1e-8)),
+    )),
+    "demo": ("small fixed campaign touching every module", ()),
+}
+_COMMON = (
+    ("--out", dict(default=None, help="report path ('-' or omitted: stdout)")),
+    ("--format", dict(choices=("json", "csv", "md"), default="json")),
+)
+
+
+def _parser(chosen: str | None) -> argparse.ArgumentParser:
+    """Every subcommand's parser, with arguments on ``chosen`` only, or on all when it is None."""
     parser = argparse.ArgumentParser(
         prog="tccr",
         description="Verify deformed commutation relations and their partial-isometry form on truncated bases.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", default=None, help="report path ('-' or omitted: stdout)")
-        p.add_argument("--format", choices=("json", "csv", "md"), default="json")
-
-    p = sub.add_parser("verify", help="relation residuals and the norm bound")
-    p.add_argument("--d", type=_positive_int("d"), default=2)
-    p.add_argument("--mu", type=_unit_interval("mu"), default=0.5)
-    p.add_argument("--cap", type=_positive_int("cap", 2), default=8)
-    p.add_argument("--tol", type=_positive_finite("tol"), default=1e-10)
-    add_common(p)
-
-    p = sub.add_parser("roundtrip", help="both inverse constructions plus the stage identity suite")
-    p.add_argument("--d", type=_positive_int("d"), default=2)
-    p.add_argument("--mu", type=_unit_interval("mu"), default=0.5)
-    p.add_argument("--cap", type=_positive_int("cap", 2), default=8)
-    p.add_argument("--rank-tol", type=_positive_finite("rank-tol"), default=1e-8)
-    p.add_argument("--tol", type=_positive_finite("tol"), default=None,
-                   help="tolerance of every check (default: each check's pinned tolerance)")
-    add_common(p)
-
-    p = sub.add_parser("irreps", help="relation residuals for every class and phase")
-    p.add_argument("--d", type=_positive_int("d"), default=2)
-    p.add_argument("--cap", type=_positive_int("cap", 2), default=8)
-    p.add_argument("--class-j", type=_positive_int("class-j", 0), default=None,
-                   help="restrict to one class (default: all of 0..d)")
-    p.add_argument("--phases", type=_phase_list, default=list(DEFAULT_PHASES))
-    p.add_argument("--tol", type=_positive_finite("tol"), default=1e-10)
-    add_common(p)
-
-    p = sub.add_parser("gram", help="exact vacuum pairing matrix, positivity, oracle bridge")
-    p.add_argument("--d", type=_positive_int("d"), default=2)
-    p.add_argument("--level", type=_positive_int("level", 0), default=2)
-    p.add_argument("--cap", type=_positive_int("cap", 2), default=8)
-    p.add_argument("--bridge-count", type=_positive_int("bridge-count", 0), default=20)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=_positive_finite("tol"), default=1e-10)
-    add_common(p)
-
-    p = sub.add_parser("faithfulness", help="collapse-map equalities and norm domination samples")
-    p.add_argument("--d", type=_positive_int("d"), default=2)
-    p.add_argument("--cap", type=_positive_int("cap", 2), default=12)
-    p.add_argument("--phase", type=_phase, default=0.0)
-    p.add_argument("--words", type=_positive_int("words"), default=100)
-    p.add_argument("--max-len", type=_positive_int("max-len"), default=6)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=_positive_finite("tol"), default=1e-8)
-    add_common(p)
-
-    p = sub.add_parser("qccr", help="one-mode deformed generator and its polar identity")
-    p.add_argument("--q", type=_unit_interval("q"), default=0.3)
-    p.add_argument("--cap", type=_positive_int("cap", 2), default=12)
-    p.add_argument("--tol", type=_positive_finite("tol"), default=1e-8)
-    add_common(p)
-
-    p = sub.add_parser("demo", help="small fixed campaign touching every module")
-    add_common(p)
-
+    for name, (summary, arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if chosen in (None, name):
+            for flag, keywords in (*arguments, *_COMMON):
+                p.add_argument(flag, **keywords)
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(None)
 
 
 def run_verify(d: int, mu: float, cap: int, tol: float) -> VerificationReport:
@@ -259,8 +265,14 @@ def run_gram(
     words, entries = gram_matrix(level, d)
     if echo is not None:
         echo(f"vacuum pairing matrix, word basis of length <= {level}, d = {d}:")
+        # symmetric entries are one object, and so are all the zeros
+        texts: dict[int, str] = {}
+        for row in entries:
+            for e in row:
+                if id(e) not in texts:
+                    texts[id(e)] = str(e)
         for row, word in zip(entries, words):
-            rendered = ", ".join(str(e) for e in row)
+            rendered = ", ".join(texts[id(e)] for e in row)
             echo(f"  <{word_str(word)}> [{rendered}]")
     report = VerificationReport(
         command="gram",
@@ -391,7 +403,10 @@ def emit_report(report: VerificationReport, fmt: str, out: str | None) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option with a value, so the first subcommand name in argv is the one parsed
+    chosen = next((a for a in argv if a in _SUBCOMMANDS), "")
+    parser = _parser(chosen)
     args = parser.parse_args(argv)
     try:
         if args.subcommand == "verify":

@@ -392,14 +392,22 @@ def norm_domination_sample(
     For each word w and each class j < d the check is
     norm_j(w) <= norm_fock(w) + tol at the shared cap; a second group checks
     that the vacuum-cyclic norm of each word is monotone along a cap ladder.
+    Words longer than the cap are rejected: the truncation can cut such a
+    word off in one family and not in another, so its norms would compare
+    truncation artefacts.
     """
     if classes is None:
         classes = tuple(range(d))
     bad = [j for j in classes if not 0 <= j < d]
     if bad:
         raise ValueError(f"classes must lie in 0..{d - 1}, got {bad}")
+    if max_len > cap:
+        raise ValueError(f"max_len {max_len} exceeds cap {cap}")
     if words is None:
         words = [random_word(d, max_len, random.Random(f"{seed}:{k}")) for k in range(n_words)]
+    longest = max(map(len, words), default=0)
+    if longest > cap:
+        raise ValueError(f"a word of length {longest} exceeds cap {cap}")
     fock = build_irrep(IrrepSpec(d=d, class_j=d, cap=cap))
     class_families = {j: build_irrep(IrrepSpec(d=d, class_j=j, cap=cap, phase=phase)) for j in classes}
     ladder = [build_irrep(IrrepSpec(d=d, class_j=d, cap=n)) for n in monotone_caps]

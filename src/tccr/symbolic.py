@@ -24,11 +24,15 @@ lemmas that follow from R1-R4 alone prune it: (1) every rule preserves each
 index's charge #x_i - #x_i*, so a word of nonzero charge has value 0; (2) a
 word that starts unstarred keeps an unstarred first letter through every
 rewrite, so it never reaches the empty word; (3) likewise a word that ends
-starred.
+starred.  Every coefficient of R1-R4 (1, mu, mu^2 and -(1 - mu^2)) lies in
+Z[mu], so every word's value does too: the functional runs the ``MuPoly``
+arithmetic on ``int`` coefficients and builds ``Fraction`` polynomials only
+for the values it returns.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from fractions import Fraction
@@ -158,15 +162,38 @@ def _content(letters: Iterable[Letter]) -> list[int]:
     return sorted(l.index for l in letters)
 
 
+# MuPolys with int coefficients: the values of _vacuum_word
+_INT_ZERO = MuPoly._closed({})
+_INT_ONE = MuPoly._closed({0: 1})
+
+
+@functools.lru_cache(maxsize=1024)
+def _integer_rule(a: Letter, b: Letter) -> tuple[tuple[Word, MuPoly], ...]:
+    """The terms of ``_pair_replacement(a, b)`` with int coefficients."""
+    terms = []
+    for word, coeff in _pair_replacement(a, b)._terms.items():
+        # int() would truncate a coefficient outside Z, so the denominator is checked first
+        bad = [c for c in coeff._coeffs.values() if c.denominator != 1]
+        if bad:
+            raise ValueError(f"rule {word_str((a, b))} -> {word_str(word)} has a non-integer coefficient {bad[0]}")
+        terms.append((word, MuPoly._closed({e: c.numerator for e, c in coeff._coeffs.items()})))
+    return tuple(terms)
+
+
+def _fractions(p: MuPoly) -> MuPoly:
+    # the return boundary: the same exponents in the same order, as Fractions
+    return MuPoly._closed({e: Fraction(c) for e, c in p._coeffs.items()})
+
+
 def _vacuum_word(word: Word, memo: dict[Word, MuPoly]) -> MuPoly:
-    """Vacuum functional of one word, by leftmost reduction on a work stack."""
+    """Vacuum functional of one word, by leftmost reduction on a work stack, with int coefficients."""
 
     def value(w: Word) -> MuPoly | None:
         # lemmas 2 and 3 fix every word that does not start starred and end unstarred
         if not w:
-            return MuPoly.one()
+            return _INT_ONE
         if not w[0].starred or w[-1].starred:
-            return MuPoly.zero()
+            return _INT_ZERO
         return memo.get(w)
 
     stack = [word]
@@ -176,13 +203,12 @@ def _vacuum_word(word: Word, memo: dict[Word, MuPoly]) -> MuPoly:
             continue
         # w starts starred and ends unstarred, so it has a redex
         pos = _find_redex(w, "leftmost")
-        repl = _pair_replacement(w[pos], w[pos + 1])._terms.items()
-        children = [(w[:pos] + rw + w[pos + 2 :], rc) for rw, rc in repl]
+        children = [(w[:pos] + rw + w[pos + 2 :], rc) for rw, rc in _integer_rule(w[pos], w[pos + 1])]
         missing = [c for c, _ in children if value(c) is None]
         if missing:
             stack += [w, *missing]
         else:
-            memo[w] = sum((rc * value(c) for c, rc in children), MuPoly.zero())
+            memo[w] = sum((rc * value(c) for c, rc in children), _INT_ZERO)
     return value(word)
 
 
@@ -194,6 +220,7 @@ def vacuum_expectation(p: NcPolynomial, d: int) -> MuPoly:
     for word, coeff in p.terms():
         # lemma 1: only words of zero charge can reach the empty word
         if _content(l for l in word if l.starred) == _content(l for l in word if not l.starred):
+            # coeff's Fractions times int coefficients are Fractions
             total = total + coeff * _vacuum_word(word, memo)
     return total
 
@@ -219,10 +246,11 @@ def gram_basis_words(level: int, d: int) -> list[Word]:
 def gram_matrix(level: int, d: int) -> tuple[list[Word], list[list[MuPoly]]]:
     """Exact matrix of vacuum pairings <w Omega, v Omega> over the word basis.
 
-    Entry (v, w) is the vacuum functional of adjoint(w) v; with rational
+    Entry (v, w) is the vacuum functional of adjoint(w) v; with exact
     coefficients the matrix is exactly symmetric, so only one triangle is
-    computed.  By lemma 1 the entry is 0 unless v and w use the same multiset
-    of indices, and all entries share one memo table.
+    computed and both entries are one object.  By lemma 1 the entry is 0
+    unless v and w use the same multiset of indices, and all entries share one
+    memo table and one zero.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
@@ -234,11 +262,13 @@ def gram_matrix(level: int, d: int) -> tuple[list[Word], list[list[MuPoly]]]:
     contents = [_content(w) for w in words]
     n = len(words)
     memo: dict[Word, MuPoly] = {}
-    entries: list[list[MuPoly]] = [[MuPoly.zero()] * n for _ in range(n)]
+    zero = MuPoly.zero()
+    entries: list[list[MuPoly]] = [[zero] * n for _ in range(n)]
     for r in range(n):
         for c in range(r + 1):
             if contents[r] == contents[c]:
-                entries[r][c] = entries[c][r] = _vacuum_word(word_adjoint(words[c]) + words[r], memo)
+                value = _vacuum_word(word_adjoint(words[c]) + words[r], memo)
+                entries[r][c] = entries[c][r] = _fractions(value)
     return words, entries
 
 

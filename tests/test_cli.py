@@ -4,10 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import argparse
+import random
+
+import numpy as np
 import pytest
 
 import tccr.cli
-from tccr.cli import main
+from tccr.cli import build_parser, main
+from tccr.families import IrrepSpec, build_irrep
+from tccr.symbolic import gen, gen_star, random_word, word_norms
 
 BIG = "1.7976931348623157e308"
 
@@ -109,6 +115,49 @@ class TestExitCodes:
         code, _, err = run(capsys, "qccr", "--q", "0.3", "--cap", "6", "--out", str(target))
         assert code == 2
         assert "cannot write" in err
+
+
+SUBCOMMANDS = ("verify", "roundtrip", "irreps", "gram", "faithfulness", "qccr", "demo")
+
+
+class TestParserParity:
+    """``main`` adds arguments only to the subcommand it runs; what a user sees is the full parser's."""
+
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h", "gram"], *([s, "--help"] for s in SUBCOMMANDS), [], ["bogus"], ["bogus", "gram"],
+        ["gram", "--frobnicate"], ["verify", "--mu", "1.5"], ["--frobnicate", "gram", "--d", "2"],
+        ["faithfulness", "--out", "gram", "--max-len", "x"], ["demo", "--d", "2"],
+    ])
+    def test_selective_parser_matches_the_full_parser(self, capsys, argv):
+        want = self.outcome(capsys, lambda a: build_parser().parse_args(a), argv)
+        assert self.outcome(capsys, main, argv) == want
+        assert want[0] in (0, 2) and want[1] + want[2]
+
+    def test_arguments_from_sys_argv(self, capsys, monkeypatch):
+        want = self.outcome(capsys, lambda a: build_parser().parse_args(a), ["qccr", "--help"])
+        monkeypatch.setattr(sys, "argv", ["tccr", "qccr", "--help"])
+        assert self.outcome(capsys, main, None) == want
+
+    def test_only_the_chosen_subcommand_gets_arguments(self, capsys, monkeypatch):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def record(parser, *args, **kwargs):
+            added.append(parser.prog)
+            return add_argument(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+        self.outcome(capsys, main, ["qccr", "--help"])
+        # -h on the top level and each of the 7 subparsers, then --q, --cap, --tol, --out, --format
+        assert sorted(set(added)) == ["tccr", *sorted(f"tccr {s}" for s in SUBCOMMANDS)]
+        assert [p for p in added if p == "tccr qccr"] == ["tccr qccr"] * 6
 
 
 class TestFormats:
@@ -232,15 +281,34 @@ class TestSubcommands:
         assert any(i.startswith("bridge/") for i in ids)
 
     def test_faithfulness_long_words_need_no_recursion(self, capsys):
-        code, _, _ = run(capsys, "faithfulness", "--d", "2", "--cap", "4", "--words", "3", "--max-len", "3000")
-        assert code == 0
+        # the campaign rejects words longer than the cap, so the kernel's long words are checked in the library
+        fock, *classes = (build_irrep(IrrepSpec(d=2, class_j=j, cap=4)) for j in (2, 0, 1))
+        words = [random_word(2, 3000, random.Random(f"42:{k}"), min_len=3000) for k in range(3)]
+        projection_power = (gen_star(1), gen(1)) * 1500
+        for fam in (fock, *classes):
+            norms = word_norms(fam, [*words, projection_power])
+            assert np.isfinite(norms).all() and norms[-1] == 1.0
+        code, out, err = run(capsys, "faithfulness", "--d", "2", "--cap", "4", "--words", "3", "--max-len", "3000")
+        assert (code, out) == (2, "") and "max_len 3000 exceeds cap 4" in err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--d", "1", "--cap", "2", "--words", "3"], 2),
+        (["--d", "1", "--cap", "2", "--words", "3", "--max-len", "2"], 0),
+        (["--d", "2", "--cap", "3", "--words", "300", "--max-len", "3"], 0),
+    ])
+    def test_faithfulness_words_fit_under_the_cap(self, capsys, argv, code):
+        # t1 t1 t1 vanishes in the cap-2 Fock family but not in class 0: a false domination failure
+        got, _, err = run(capsys, "faithfulness", *argv)
+        assert got == code
+        assert ("exceeds cap" in err) == (code == 2)
 
     @pytest.mark.parametrize(
         "d, cap, words, rungs",
         [("5", "6", "100", {"cap6"}), ("2", "12", "5", {"cap6", "cap8"}), ("2", "5", "5", set())],
     )
     def test_faithfulness_ladder_ends_at_the_cap(self, capsys, d, cap, words, rungs):
-        code, out, _ = run(capsys, "faithfulness", "--d", d, "--cap", cap, "--words", words)
+        max_len = str(min(int(cap), 6))
+        code, out, _ = run(capsys, "faithfulness", "--d", d, "--cap", cap, "--words", words, "--max-len", max_len)
         assert code == 0
         ids = [c["id"] for c in json.loads(out)["checks"]]
         assert {i.rsplit("/", 1)[1] for i in ids if i.startswith("monotone/")} == rungs

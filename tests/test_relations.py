@@ -533,6 +533,14 @@ class TestNormDomination:
         with pytest.raises(ValueError, match="classes"):
             norm_domination_sample(2, 6, classes=(2,))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_len": 7}, "max_len 7 exceeds cap 6"),
+        ({"words": [(gen(1),), (gen_star(2), gen(1)) * 3 + (gen(2),)]}, "a word of length 7 exceeds cap 6"),
+    ])
+    def test_words_longer_than_the_cap_are_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            norm_domination_sample(2, 6, **kwargs)
+
     def test_deterministic_for_fixed_seed(self):
         r1 = norm_domination_sample(2, 8, n_words=5, seed=7, monotone_caps=())
         r2 = norm_domination_sample(2, 8, n_words=5, seed=7, monotone_caps=())
@@ -654,7 +662,7 @@ class TestSlotCollapse:
         report = collapse_check(2, 1, 0.0, 4)
         assert [c.passed for c in report.checks] == [False, True]
         assert report.checks[0].residual == pytest.approx(math.sqrt(3), abs=1e-12)
-        argv = ["faithfulness", "--d", "2", "--cap", "4", "--words", "3"]
+        argv = ["faithfulness", "--d", "2", "--cap", "4", "--words", "3", "--max-len", "4"]
         assert main([*argv, "--out", str(tmp_path / "report.json")]) == 1
 
     def test_collapse_builds_no_dense_matrix(self):

@@ -51,6 +51,7 @@ from tccr.report import VerificationReport
 from tccr.symbolic import _word_norms_each
 
 from padded_word_kernel import padded_vacuum_value, padded_word_columns, padded_word_norms
+import vacuum_fraction_reference
 
 MU_SAMPLES = (-0.9, -0.5, 0.0, 0.3, 0.7, 0.9)
 
@@ -182,6 +183,72 @@ class TestClosedMuPolyArithmetic:
         assert (p + q)._coeffs == {0: 1, 4: 1}
         assert (p * MuPoly({0: 1, 1: -1}) + p * MuPoly.mu(1)) == p
         assert (MuPoly({0: 1, 1: 1}) * MuPoly({0: 1, 1: -1}))._coeffs == {0: 1, 2: -1}
+
+
+def random_nc_poly(rng):
+    """An NcPolynomial over few short words, so that sums and products collide, through the validating constructor."""
+    return NcPolynomial({random_word(2, 2, rng, min_len=0): random_mu_poly(rng) for _ in range(rng.randint(0, 5))})
+
+
+def nc_cancelling_partner(p, rng):
+    """An NcPolynomial that cancels some or all of ``p``'s coefficients when added to it."""
+    terms = {w: cancelling_partner(c, rng) for w, c in p._terms.items() if rng.random() < 0.7}
+    terms.update(random_nc_poly(rng)._terms)
+    return NcPolynomial(terms)
+
+
+def reference_nc_sum(p, q):
+    """Test-only reference for ``p + q``: the sum rebuilt through the validating constructor."""
+    out = dict(p._terms)
+    for w, c in q._terms.items():
+        acc = out.get(w)
+        out[w] = c if acc is None else acc + c
+    return NcPolynomial(out)
+
+
+def reference_nc_product(p, q):
+    out = {}
+    for w1, c1 in p._terms.items():
+        for w2, c2 in q._terms.items():
+            acc = out.get(w1 + w2)
+            out[w1 + w2] = c1 * c2 if acc is None else acc + c1 * c2
+    return NcPolynomial(out)
+
+
+def assert_same_nc_poly(got, want):
+    # insertion order too: to_text and the bridge read terms() sorted, but sums and products follow it
+    assert list(got._terms) == list(want._terms), (got, want)
+    assert all(type(w) is tuple for w in got._terms), got
+    for c, ref in zip(got._terms.values(), want._terms.values()):
+        assert not c.is_zero
+        assert_same_poly(c, ref)
+
+
+class TestClosedNcPolynomialArithmetic:
+    """The closed operations against a reference that re-validates every result."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_validating_reference(self, seed):
+        rng = random.Random(f"ncpoly:{seed}")
+        cancelled = 0
+        for _ in range(60):
+            p = random_nc_poly(rng)
+            q = nc_cancelling_partner(p, rng) if rng.random() < 0.5 else random_nc_poly(rng)
+            m = rng.choice([random_mu_poly(rng), MuPoly.zero()])
+            scalar = rng.choice([0, 1, -2, Fraction(0), Fraction(-2, 3)])
+            want_sum = reference_nc_sum(p, q)
+            cancelled += len(want_sum._terms) < len(set(p._terms) | set(q._terms))
+            assert_same_nc_poly(p + q, want_sum)
+            assert_same_nc_poly(p - q, reference_nc_sum(p, NcPolynomial({w: -c for w, c in q._terms.items()})))
+            assert_same_nc_poly(-p, NcPolynomial({w: -c for w, c in p._terms.items()}))
+            assert_same_nc_poly(p * q, reference_nc_product(p, q))
+            assert_same_nc_poly(p * m, NcPolynomial({w: c * m for w, c in p._terms.items()}))
+            want = NcPolynomial({w: c * MuPoly.const(scalar) for w, c in p._terms.items()})
+            assert_same_nc_poly(p * scalar, want)
+            assert_same_nc_poly(scalar * p, want)
+            assert_same_nc_poly(p.adjoint(), NcPolynomial({word_adjoint(w): c for w, c in p._terms.items()}))
+            assert (p + -p).is_zero and (p - p).is_zero and (p * 0).is_zero
+        assert cancelled > 0
 
 
 class TestNormalOrder:
@@ -489,6 +556,76 @@ class TestVacuumFunctional:
         for seed in range(40):
             p = seeded_poly(seed, d=3, max_degree=6)
             assert vacuum_expectation(p, 3) == reference_vacuum(p, 3)
+
+
+def balanced_words(d, max_len):
+    """Every word of zero charge with at most ``max_len`` letters: the only words lemma 1 lets reach the functional.
+
+    Its starred and unstarred letters share one content: an unstarred sequence,
+    a distinct rearrangement of it for the starred letters, and the positions
+    of the starred letters.
+    """
+    for half in range(max_len // 2 + 1):
+        for unstarred in itertools.product(range(1, d + 1), repeat=half):
+            for starred in sorted(set(itertools.permutations(unstarred))):
+                for spots in itertools.combinations(range(2 * half), half):
+                    u, s = iter(unstarred), iter(starred)
+                    yield tuple(
+                        Letter(next(s), True) if k in spots else Letter(next(u), False) for k in range(2 * half)
+                    )
+
+
+def assert_same_integer_value(got, want):
+    # the int value has the Fraction value's exponents in the same order, and its coefficients
+    assert list(got._coeffs) == list(want._coeffs), (got, want)
+    assert all(type(c) is int for c in got._coeffs.values()), got
+    assert all(type(c) is Fraction for c in want._coeffs.values()), want
+    assert list(got._coeffs.values()) == list(want._coeffs.values()), (got, want)
+
+
+class TestIntegerVacuumFunctional:
+    """The functional on int coefficients against the same reduction on Fractions."""
+
+    @pytest.mark.parametrize("d, count", [(1, 99), (2, 5341), (3, 46687)])
+    def test_every_balanced_word_matches_the_fraction_reference(self, d, count):
+        words = list(balanced_words(d, 8))
+        assert len(words) == len(set(words)) == count
+        memo, reference_memo = {}, {}
+        for w in words:
+            got = tccr.symbolic._vacuum_word(w, memo)
+            assert_same_integer_value(got, vacuum_fraction_reference.vacuum_word(w, reference_memo))
+        assert memo.keys() == reference_memo.keys()
+        for w, value in memo.items():
+            assert_same_integer_value(value, reference_memo[w])
+
+    @pytest.mark.parametrize("level, d", [(6, 1), (6, 2), (5, 3), (4, 4), (3, 5)])
+    def test_gram_bases_match_the_fraction_reference(self, level, d):
+        words, entries = gram_matrix(level, d)
+        want_words, want = vacuum_fraction_reference.gram_matrix(level, d)
+        assert words == want_words
+        for r, (row, want_row) in enumerate(zip(entries, want)):
+            for c, (e, ref) in enumerate(zip(row, want_row)):
+                assert_same_poly(e, ref)
+                assert e is entries[c][r]
+
+    def test_polynomials_match_the_fraction_reference(self):
+        for k in range(300):
+            d = 1 + k % 3
+            p = random_polynomial(d, 6, random.Random(f"integer:{k}"))
+            assert_same_poly(vacuum_expectation(p, d), vacuum_fraction_reference.vacuum_expectation(p, d))
+
+    @pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(-7, 3)])
+    def test_a_rule_with_a_non_integer_coefficient_raises(self, monkeypatch, coeff):
+        # int() would truncate 1/2 to 0 and -7/3 to -2 without a word
+        monkeypatch.setattr(
+            tccr.symbolic, "_pair_replacement", lambda a, b: NcPolynomial({(b, a): MuPoly.mu(1, coeff)})
+        )
+        tccr.symbolic._integer_rule.cache_clear()
+        try:
+            with pytest.raises(ValueError, match=f"a1\\* a2 -> a2 a1\\* has a non-integer coefficient {coeff}"):
+                vacuum_expectation(word(gen_star(1), gen(2), gen_star(2), gen(1)), 2)
+        finally:
+            tccr.symbolic._integer_rule.cache_clear()
 
 
 class TestParser:
