@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,10 @@ class IrrepSpec:
             raise ValueError(f"class_j must lie in 0..{self.d}, got {self.class_j}")
         if self.cap < 1:
             raise ValueError(f"cap must be >= 1, got {self.cap}")
-        phase = float(self.phase) % TWO_PI
+        phase = float(self.phase)
+        if not math.isfinite(phase):
+            raise ValueError(f"phase must be finite, got {phase}")
+        phase %= TWO_PI
         # a tiny negative phase rounds up to the modulus itself, which is the phase 0
         object.__setattr__(self, "phase", 0.0 if phase == TWO_PI else phase)
 
@@ -94,7 +97,6 @@ class GeneratorFamily(_LetterTables):
     basis: FockBasis
     ops: tuple[LinearOperator, ...]
     spec: IrrepSpec | None = None
-    word_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -108,7 +110,6 @@ class TccrFamily(_LetterTables):
     basis: FockBasis
     ops: tuple[LinearOperator, ...]
     mu: float
-    word_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def d(self) -> int:

@@ -285,9 +285,9 @@ def relation_residuals(
     A relation is measured on the core columns of its core level (its degree
     unless it names another): every occupation at most cap - level.  The
     relations of one level share one suffix plan of their words, evaluated over
-    those columns only; no word cache is filled.  A letter outside 1..d or a
-    core level above the cap raises, in relation order, before any pass.  A
-    false relation whose difference is not monomial is measured densely block by block.
+    those columns only.  A letter outside 1..d or a core level above the cap
+    raises, in relation order, before any pass.  A false relation whose
+    difference is not monomial is measured densely block by block.
     """
     report = VerificationReport(command=command, params=params)
     residuals = _kernel_residuals(family, relset.relations, mu)

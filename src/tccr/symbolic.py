@@ -235,6 +235,8 @@ GRAM_MAX_WORDS = 400
 
 def gram_basis_words(level: int, d: int) -> list[Word]:
     """Unstarred words of length <= level, ordered by length then index-lex."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     words: list[Word] = [()]
     layer: list[Word] = [()]
     for _ in range(level):
@@ -254,6 +256,8 @@ def gram_matrix(level: int, d: int) -> tuple[list[Word], list[list[MuPoly]]]:
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if level > GRAM_MAX_LEVEL or sum(d**k for k in range(level + 1)) > GRAM_MAX_WORDS:
         raise CapacityError(
             f"gram basis too large: level {level} > {GRAM_MAX_LEVEL} or over {GRAM_MAX_WORDS} words"
@@ -328,6 +332,8 @@ def _parse_term(tokens, k: int, d: int, sign: int) -> tuple[NcPolynomial, int]:
         if kind == "rat":
             if "/" in tok:
                 num, den = tok.split("/")
+                if int(den) == 0:
+                    raise ParseError("zero denominator", pos)
                 coeff = coeff * Fraction(int(num), int(den))
             else:
                 coeff = coeff * Fraction(int(tok))
@@ -491,21 +497,17 @@ _VACUUM = np.zeros(1, dtype=np.intp)
 
 
 def evaluate_word(family, word: Word) -> LinearOperator:
-    """Product of family operators for a word, memoised on the family."""
-    key = tuple(word)
-    hit = family.word_cache.get(key)
-    if hit is None:
-        found = []
-        _word_levels(
-            family, _SuffixPlans([key]), np.arange(family.basis.dim),
-            lambda rows, vals, _, nodes: found.append((rows[nodes[0]], vals[nodes[0]])),
-        )
-        [(rows, vals)] = found
-        live = np.flatnonzero(rows >= 0)
-        cols, out = np.full(len(rows), -1), np.zeros(len(rows), dtype=complex)
-        cols[rows[live]], out[rows[live]] = live, vals[live]
-        hit = family.word_cache[key] = LinearOperator(family.basis, Monomial(cols, out))
-    return hit
+    """Product of family operators for a word."""
+    found = []
+    _word_levels(
+        family, _SuffixPlans([tuple(word)]), np.arange(family.basis.dim),
+        lambda rows, vals, _, nodes: found.append((rows[nodes[0]], vals[nodes[0]])),
+    )
+    [(rows, vals)] = found
+    live = np.flatnonzero(rows >= 0)
+    cols, out = np.full(len(rows), -1), np.zeros(len(rows), dtype=complex)
+    cols[rows[live]], out[rows[live]] = live, vals[live]
+    return LinearOperator(family.basis, Monomial(cols, out))
 
 
 def _word_norms_each(families: Iterable, words: Sequence[Word]) -> Iterator[np.ndarray]:
@@ -610,7 +612,7 @@ def eval_and_bridge(p: NcPolynomial, a: "TccrFamily", tol: float = 1e-10) -> Ver
     Vacuum expectations only involve occupations up to the word length, so as
     long as the polynomial's degree fits under the cap the two sides agree to
     rounding.  The model side reads only the vacuum column of the word kernel
-    (one pass for all of ``p``'s words) and fills no word cache.
+    (one pass for all of ``p``'s words).
     """
     d = len(a.ops)
     report = VerificationReport(command="eval_and_bridge", params={"d": d, "mu": a.mu, "cap": a.basis.cap})

@@ -322,6 +322,32 @@ class TestSubcommands:
             assert any(i.startswith(prefix) for i in ids), prefix
 
 
+class TestNoPerWordOperators:
+    """Every campaign measures from the word kernel, never through per-word operators."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("demo",),
+            ("verify", "--d", "2", "--cap", "4"),
+            ("roundtrip", "--d", "2", "--cap", "6"),
+            ("irreps", "--d", "2", "--cap", "4"),
+            ("gram", "--d", "2", "--level", "2"),
+            ("faithfulness", "--d", "2", "--cap", "6", "--words", "20"),
+            ("qccr", "--cap", "6"),
+        ],
+    )
+    def test_campaign_never_evaluates_a_word_operator(self, monkeypatch, tmp_path, argv):
+        import tccr.symbolic
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a campaign took the per-word operator path")
+
+        for name in ("evaluate_word", "evaluate_poly"):
+            monkeypatch.setattr(tccr.symbolic, name, refuse)
+        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+
+
 class TestSharedWork:
     """What a campaign builds once: its reconstruction, and each relation set per d."""
 

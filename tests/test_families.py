@@ -36,6 +36,11 @@ class TestIrrepSpec:
         spec = IrrepSpec(d=2, class_j=1, cap=4, phase=phase)
         assert spec.phase == 0.0 and 0.0 <= spec.phase < TWO_PI
 
+    @pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
+    def test_non_finite_phase_is_rejected(self, phase):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            IrrepSpec(d=1, class_j=0, cap=2, phase=phase)
+
     def test_slots(self):
         assert IrrepSpec(d=3, class_j=0, cap=4).slots == 1
         assert IrrepSpec(d=3, class_j=2, cap=4).slots == 2

@@ -371,6 +371,13 @@ class TestGramMatrix:
         assert words[1:3] == [(gen(1),), (gen(2),)]
         assert len(words) == 7
 
+    @pytest.mark.parametrize("level, d", [(2, -1), (6, -3), (2, 0)])
+    def test_d_below_one_is_rejected_before_the_size_bound(self, level, d):
+        with pytest.raises(ValueError, match=f"d must be >= 1, got {d}"):
+            gram_matrix(level, d)
+        with pytest.raises(ValueError, match=f"d must be >= 1, got {d}"):
+            gram_basis_words(level, d)
+
     def test_level_one_two_generators(self):
         _, entries = gram_matrix(1, 2)
         expected = [
@@ -658,6 +665,12 @@ class TestParser:
             parse_polynomial("a1 % a2", 2)
         assert err.value.position == 3
 
+    @pytest.mark.parametrize("text, position", [("3/0", 0), ("2 1/0", 2), ("a1 - 5/00 a2", 5)])
+    def test_zero_denominator_reports_position(self, text, position):
+        with pytest.raises(ParseError, match="zero denominator") as err:
+            parse_polynomial(text, 2)
+        assert err.value.position == position
+
     def test_empty_term_rejected(self):
         with pytest.raises(ParseError):
             parse_polynomial("a1 + ", 2)
@@ -788,13 +801,13 @@ class TestWordKernel:
         assert word_norms(fam, [(), ()]).tolist() == [1.0, 1.0]
         assert word_norms(fam, []).shape == (0,)
 
-    def test_memoises_whole_words_only(self):
+    def test_each_call_builds_a_new_operator(self):
         fam = build_fock_tccr(2, 0.5, 4)
         w = (gen_star(1), gen(2), gen(1))
-        assert evaluate_word(fam, w) is evaluate_word(fam, w)
-        assert list(fam.word_cache) == [w]
-        word_norms(fam, [w[1:]])
-        assert list(fam.word_cache) == [w]
+        first, second = evaluate_word(fam, w), evaluate_word(fam, w)
+        assert first is not second and first.monomial is not second.monomial
+        assert np.array_equal(first.monomial.cols, second.monomial.cols)
+        assert first.monomial.vals.tobytes() == second.monomial.vals.tobytes()
 
     def test_long_word_needs_no_recursion(self):
         fam = build_fock_tccr(2, 0.5, 4)
@@ -1009,12 +1022,6 @@ class TestVacuumColumnBridge:
         p = word(gen(2), gen(1)) + word(gen(2)) + NcPolynomial.one()
         got = tccr.symbolic._model_vacuum_values(fam, [p.terms()])[0]
         assert got == 2 and bits(got) == bits(full_product_vacuum_value(fam, p))
-
-    def test_fills_no_word_cache(self):
-        fam = build_fock_tccr(3, 0.3, 6)
-        for k in range(20):
-            assert eval_and_bridge(seeded_poly(f"cache:{k}", d=3, max_degree=6), fam).all_passed
-        assert fam.word_cache == {}
 
 
 class TestBatchedBridge:
