@@ -12,7 +12,6 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +33,7 @@ from .relations import (
     qccr_residuals,
     tccr_residuals,
 )
-from .report import VerificationReport, merge_reports, round_float
+from .report import FORMATS, Check, VerificationReport, merge_reports, round_float
 from .symbolic import (
     _add_bridge_checks,
     evaluate_mu_matrix,
@@ -171,7 +170,7 @@ _SUBCOMMANDS = {
 }
 _COMMON = (
     ("--out", dict(default=None, help="report path ('-' or omitted: stdout)")),
-    ("--format", dict(choices=("json", "csv", "md"), default="json")),
+    ("--format", dict(choices=FORMATS, default="json")),
 )
 
 
@@ -329,7 +328,7 @@ def run_faithfulness(
 def _prefixed(report: VerificationReport, prefix: str) -> VerificationReport:
     out = VerificationReport(command=report.command, params=report.params)
     for c in report.checks:
-        out._append(replace(c, id=prefix + c.id))
+        out._append(Check._closed(prefix + c.id, c.description, c.residual, c.tolerance))
     return out
 
 
@@ -381,15 +380,10 @@ def run_demo() -> VerificationReport:
 
 def emit_report(report: VerificationReport, fmt: str, out: str | None) -> int:
     """Write the report; exit status 0 if all checks passed, 1 otherwise, 2 on I/O error."""
-    if fmt == "json":
-        rendered = report.to_json()
-    elif fmt == "csv":
-        rendered = report.to_csv()
-    elif fmt == "md":
-        rendered = report.to_markdown()
-    else:
+    if fmt not in FORMATS:
         print(f"unknown format {fmt!r}", file=sys.stderr)
         return 2
+    rendered, all_passed = report.render(fmt)
     if out is None or out == "-":
         sys.stdout.write(rendered)
     else:
@@ -399,7 +393,7 @@ def emit_report(report: VerificationReport, fmt: str, out: str | None) -> int:
         except OSError as exc:
             print(f"cannot write report to {out}: {exc}", file=sys.stderr)
             return 2
-    return 0 if report.all_passed else 1
+    return 0 if all_passed else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

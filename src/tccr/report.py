@@ -8,13 +8,24 @@ rather than trusted from the file.
 
 Each check is validated once, by ``VerificationReport.add``: string id and
 description, real (non-bool) residual and tolerance that stay finite at 15
-significant digits, unique id; the ``Check`` holds both rounded to those 15
-digits.  Loading goes through ``add``; merging and extending reports append
-the already-validated checks after a duplicate-id test only.
+significant digits, unique id.  A call with a ``str`` id and description and
+``float`` numbers passes on exact type tests and range compares; any other
+input goes through the general checks and their messages.  ``add`` rounds
+both numbers to those 15 digits (a tolerance object repeated from the last
+call is rounded once) and builds the ``Check`` through ``Check._closed``,
+which stores fields as given.  The public ``Check`` constructor still rounds.
+Loading goes through ``add``.  Merging and extending reports concatenate
+the already-validated checks after one set test for duplicate ids; only a
+duplicate sends them through the check-by-check append, which names the
+first one.
 
-``to_json`` writes each check from one fixed template (strings through the C
-string encoder of ``json``, floats as ``repr``) instead of running the
-pure-Python encoder that ``indent`` selects.  Its bytes are those of
+The three writers share one pass, ``_rows``: the checks sorted by id, each
+tested finite (a check appended to ``checks`` directly, past ``add``, may not
+be), and their pass flags, whose sum is the summary and, through ``render``,
+the exit status of ``tccr.cli.emit_report``.  ``to_json`` writes each check
+from one fixed template (strings through the C string encoder of ``json``,
+floats as ``repr``) instead of running the pure-Python encoder that
+``indent`` selects.  Its bytes are those of
 ``json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)``
 plus a newline, which the tests keep as the reference.
 """
@@ -29,9 +40,10 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Any, Iterable, Mapping
 
-__all__ = ["Check", "VerificationReport", "merge_reports", "round_float"]
+__all__ = ["FORMATS", "Check", "VerificationReport", "merge_reports", "round_float"]
 
 
 def round_float(x: float) -> float:
@@ -50,8 +62,10 @@ def _largest_writable() -> float:
 # |x| above this (or NaN) has no finite 15-digit form, so no report could be written
 _WRITABLE_MAX = _largest_writable()
 
+_by_id = attrgetter("id")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Check:
     """A named check whose residual and tolerance are held at the 15 digits written, so ``passed`` matches the file."""
 
@@ -64,9 +78,25 @@ class Check:
         object.__setattr__(self, "residual", round_float(self.residual))
         object.__setattr__(self, "tolerance", round_float(self.tolerance))
 
+    @classmethod
+    def _closed(cls, id: str, description: str, residual: float, tolerance: float) -> "Check":
+        # fields that ``add`` validated and rounded, or those of another check: nothing to round again
+        check = object.__new__(cls)
+        _set_id(check, id)
+        _set_description(check, description)
+        _set_residual(check, residual)
+        _set_tolerance(check, tolerance)
+        return check
+
     @property
     def passed(self) -> bool:
         return self.residual <= self.tolerance
+
+
+# the slot setters, which write past the frozen ``__setattr__``
+_set_id, _set_description, _set_residual, _set_tolerance = (
+    getattr(Check, name).__set__ for name in ("id", "description", "residual", "tolerance")
+)
 
 
 @dataclass
@@ -75,6 +105,8 @@ class VerificationReport:
     params: dict[str, Any] = field(default_factory=dict)
     checks: list[Check] = field(default_factory=list)
     _ids: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+    # the last float tolerance given to ``add`` and its rounding
+    _tolerance: tuple[Any, float] = field(default=(None, 0.0), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         initial, self.checks = self.checks, []
@@ -87,21 +119,22 @@ class VerificationReport:
         The id and description must be strings and both numbers real (not bool) and finite at
         15 significant digits; ids are unique.  Every other way in relies on this one.
         """
-        if not (isinstance(id, str) and isinstance(description, str)):
-            raise ValueError(
-                f"check {id!r} needs a string id and description, "
-                f"not {type(id).__name__} and {type(description).__name__}"
-            )
-        if not (_is_real(residual) and _is_real(tolerance)):
-            raise ValueError(
-                f"check {id!r} needs real numbers as residual and tolerance: {residual!r}, {tolerance!r}"
-            )
-        if not (abs(residual) <= _WRITABLE_MAX and abs(tolerance) <= _WRITABLE_MAX):
-            raise ValueError(
-                f"check {id!r} has a non-finite residual or tolerance (at 15 significant digits): "
-                f"{residual}, {tolerance}"
-            )
-        check = Check(id, description, residual, tolerance)
+        if (
+            type(id) is str
+            and type(description) is str
+            and type(residual) is float
+            and type(tolerance) is float
+            and -_WRITABLE_MAX <= residual <= _WRITABLE_MAX
+            and -_WRITABLE_MAX <= tolerance <= _WRITABLE_MAX
+        ):
+            last, rounded = self._tolerance
+            if tolerance is not last:
+                rounded = float(format(tolerance, ".15g"))
+                self._tolerance = (tolerance, rounded)
+            check = Check._closed(id, description, float(format(residual, ".15g")), rounded)
+        else:
+            _validate(id, description, residual, tolerance)
+            check = Check(id, description, residual, tolerance)
         self._append(check)
         return check
 
@@ -112,9 +145,18 @@ class VerificationReport:
         self.checks.append(check)
         self._ids.add(check.id)
 
+    def _concat(self, checks: list[Check]) -> None:
+        """Append validated checks, all at once when no id repeats; else one by one up to the first duplicate."""
+        ids = set(map(_by_id, checks))
+        if len(ids) == len(checks) and self._ids.isdisjoint(ids):
+            self.checks += checks
+            self._ids |= ids
+        else:
+            for c in checks:
+                self._append(c)
+
     def extend(self, other: "VerificationReport") -> None:
-        for c in other.checks:
-            self._append(c)
+        self._concat(other.checks)
 
     @property
     def total(self) -> int:
@@ -132,7 +174,7 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
     def sorted_checks(self) -> list[Check]:
-        return sorted(self.checks, key=lambda c: c.id)
+        return sorted(self.checks, key=_by_id)
 
     def worst(self) -> Check | None:
         """Check with the largest residual/tolerance ratio, if any."""
@@ -157,22 +199,32 @@ class VerificationReport:
             "summary": {"total": self.total, "passed": self.passed},
         }
 
+    def _rows(self) -> tuple[list[Check], list[bool]]:
+        """The checks sorted by id and their pass flags; a check that no writer can write raises."""
+        rows = self.sorted_checks()
+        flags = []
+        for c in rows:
+            if not (math.isfinite(c.residual) and math.isfinite(c.tolerance)):
+                raise ValueError(
+                    f"check {c.id!r} has a non-finite residual or tolerance: {c.residual}, {c.tolerance}"
+                )
+            flags.append(c.passed)
+        return rows, flags
+
+    def render(self, fmt: str) -> tuple[str, bool]:
+        """The report written in ``fmt`` (one of ``FORMATS``) and whether every check passed."""
+        rows, flags = self._rows()
+        return _WRITERS[fmt](self, rows, flags), all(flags)
+
     def to_json(self) -> str:
         """The bytes of ``json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False)`` and a newline."""
-        head = json.dumps(
-            {
-                "command": self.command,
-                "params": _canonical_params(self.params),
-                "summary": {"total": self.total, "passed": self.passed},
-            },
-            sort_keys=True,
-            indent=2,
-            allow_nan=False,
-        )
-        checks = [_check_json(c) for c in self.sorted_checks()]
-        listed = "[\n" + ",\n".join(checks) + "\n  ]" if checks else "[]"
-        # "checks" sorts before every other top-level key, so it opens the object
-        return '{\n  "checks": ' + listed + ",\n" + head[2:] + "\n"
+        return _json(self, *self._rows())
+
+    def to_csv(self) -> str:
+        return _csv(self, *self._rows())
+
+    def to_markdown(self) -> str:
+        return _markdown(self, *self._rows())
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "VerificationReport":
@@ -186,38 +238,23 @@ class VerificationReport:
     def from_json(cls, text: str) -> "VerificationReport":
         return cls.from_dict(json.loads(text, parse_constant=_reject_constant))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "description", "residual", "tolerance", "pass"])
-        for c in self.sorted_checks():
-            writer.writerow(
-                [
-                    c.id,
-                    c.description,
-                    repr(c.residual),
-                    repr(c.tolerance),
-                    "true" if c.passed else "false",
-                ]
-            )
-        return buf.getvalue()
 
-    def to_markdown(self) -> str:
-        lines = [
-            f"# {self.command}",
-            "",
-            "params: " + json.dumps(_canonical_params(self.params), sort_keys=True, allow_nan=False),
-            "",
-            "| id | description | residual | tolerance | pass |",
-            "|---|---|---|---|---|",
-        ]
-        for c in self.sorted_checks():
-            status = "pass" if c.passed else "FAIL"
-            lines.append(
-                f"| {c.id} | {c.description} | {c.residual:.3e} | {c.tolerance:.3e} | {status} |"
-            )
-        lines += ["", f"summary: {self.passed}/{self.total} passed", ""]
-        return "\n".join(lines)
+def _validate(id: object, description: object, residual: object, tolerance: object) -> None:
+    """The checks of ``add`` for any input, with their messages."""
+    if not (isinstance(id, str) and isinstance(description, str)):
+        raise ValueError(
+            f"check {id!r} needs a string id and description, "
+            f"not {type(id).__name__} and {type(description).__name__}"
+        )
+    if not (_is_real(residual) and _is_real(tolerance)):
+        raise ValueError(
+            f"check {id!r} needs real numbers as residual and tolerance: {residual!r}, {tolerance!r}"
+        )
+    if not (abs(residual) <= _WRITABLE_MAX and abs(tolerance) <= _WRITABLE_MAX):
+        raise ValueError(
+            f"check {id!r} has a non-finite residual or tolerance (at 15 significant digits): "
+            f"{residual}, {tolerance}"
+        )
 
 
 def _is_real(x: object) -> bool:
@@ -225,19 +262,63 @@ def _is_real(x: object) -> bool:
     return isinstance(x, (float, int, numbers.Real)) and not isinstance(x, bool)
 
 
-def _check_json(c: Check) -> str:
-    """One element of the indent-2 "checks" array, keys in sorted order."""
-    if not (math.isfinite(c.residual) and math.isfinite(c.tolerance)):
-        raise ValueError(f"check {c.id!r} has a non-finite residual or tolerance: {c.residual}, {c.tolerance}")
-    return (
+def _json(report: VerificationReport, rows: list[Check], flags: list[bool]) -> str:
+    head = json.dumps(
+        {
+            "command": report.command,
+            "params": _canonical_params(report.params),
+            "summary": {"total": len(rows), "passed": sum(flags)},
+        },
+        sort_keys=True,
+        indent=2,
+        allow_nan=False,
+    )
+    # each element of the indent-2 "checks" array, keys in sorted order
+    checks = [
         "    {\n"
         f'      "description": {encode_basestring_ascii(c.description)},\n'
         f'      "id": {encode_basestring_ascii(c.id)},\n'
-        f'      "pass": {"true" if c.passed else "false"},\n'
+        f'      "pass": {"true" if passed else "false"},\n'
         f'      "residual": {c.residual!r},\n'
         f'      "tolerance": {c.tolerance!r}\n'
         "    }"
+        for c, passed in zip(rows, flags)
+    ]
+    listed = "[\n" + ",\n".join(checks) + "\n  ]" if checks else "[]"
+    # "checks" sorts before every other top-level key, so it opens the object
+    return '{\n  "checks": ' + listed + ",\n" + head[2:] + "\n"
+
+
+def _csv(report: VerificationReport, rows: list[Check], flags: list[bool]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", "description", "residual", "tolerance", "pass"])
+    writer.writerows(
+        [c.id, c.description, repr(c.residual), repr(c.tolerance), "true" if passed else "false"]
+        for c, passed in zip(rows, flags)
     )
+    return buf.getvalue()
+
+
+def _markdown(report: VerificationReport, rows: list[Check], flags: list[bool]) -> str:
+    lines = [
+        f"# {report.command}",
+        "",
+        "params: " + json.dumps(_canonical_params(report.params), sort_keys=True, allow_nan=False),
+        "",
+        "| id | description | residual | tolerance | pass |",
+        "|---|---|---|---|---|",
+    ]
+    lines += [
+        f"| {c.id} | {c.description} | {c.residual:.3e} | {c.tolerance:.3e} | {'pass' if passed else 'FAIL'} |"
+        for c, passed in zip(rows, flags)
+    ]
+    lines += ["", f"summary: {sum(flags)}/{len(rows)} passed", ""]
+    return "\n".join(lines)
+
+
+_WRITERS = {"json": _json, "csv": _csv, "md": _markdown}
+FORMATS = tuple(_WRITERS)
 
 
 def _reject_constant(name: str) -> float:
@@ -258,6 +339,5 @@ def _canonical_params(params: Mapping[str, Any]) -> dict[str, Any]:
 
 def merge_reports(command: str, params: Mapping[str, Any], parts: Iterable[VerificationReport]) -> VerificationReport:
     merged = VerificationReport(command=command, params=dict(params))
-    for part in parts:
-        merged.extend(part)
+    merged._concat([c for part in parts for c in part.checks])
     return merged

@@ -277,12 +277,17 @@ def gram_matrix(level: int, d: int) -> tuple[list[Word], list[list[MuPoly]]]:
 
 
 def evaluate_mu_matrix(entries: Sequence[Sequence[MuPoly]], mu: float) -> np.ndarray:
-    # most pairings are zero by charge; only the others are evaluated and written
+    # most pairings are zero by charge and only the others are written; a symmetric pair is one
+    # object, so each distinct entry is evaluated once and its value written wherever it stands
     out = np.zeros((len(entries), len(entries[0]) if entries else 0))
+    values: dict[int, float] = {}
     for r, row in enumerate(entries):
         for c, e in enumerate(row):
             if e._coeffs:
-                out[r, c] = e.evaluate(mu)
+                value = values.get(id(e))
+                if value is None:
+                    value = values[id(e)] = e.evaluate(mu)
+                out[r, c] = value
     return out
 
 
@@ -625,9 +630,17 @@ def eval_and_bridge(p: NcPolynomial, a: "TccrFamily", tol: float = 1e-10) -> Ver
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _letters(d: int) -> tuple[Letter, ...]:
+    """The 2d letters, a_i at 2 (i - 1) and a_i* after it."""
+    return tuple(Letter(i, starred) for i in range(1, d + 1) for starred in (False, True))
+
+
 def random_word(d: int, max_len: int, rng: random.Random, min_len: int = 1) -> Word:
-    length = rng.randint(min_len, max_len)
-    return tuple(Letter(rng.randint(1, d), rng.random() < 0.5) for _ in range(length))
+    # draws the length, then each letter's index and star, in that order: seeded words depend on it
+    letters = _letters(d)
+    randint, draw = rng.randint, rng.random
+    return tuple([letters[2 * randint(1, d) - 2 + (draw() < 0.5)] for _ in range(randint(min_len, max_len))])
 
 
 def random_polynomial(d: int, max_degree: int, rng: random.Random) -> NcPolynomial:

@@ -429,10 +429,12 @@ class TestGramMatrix:
 
         monkeypatch.setattr(MuPoly, "evaluate", counting)
         nonzero = sum(not e.is_zero for row in entries for e in row)
-        assert (nonzero, len(entries) ** 2) == (112, 1600)
+        # a symmetric pair of entries is one object, evaluated once: 40 diagonal entries and 36 pairs
+        distinct = len({id(e) for row in entries for e in row if not e.is_zero})
+        assert (distinct, nonzero, len(entries) ** 2) == (76, 112, 1600)
         for mu in MU_SAMPLES:
             got = evaluate_mu_matrix(entries, mu)
-            assert got.dtype == float and np.array_equal(got, want[mu]) and calls[mu] == nonzero
+            assert got.dtype == float and np.array_equal(got, want[mu]) and calls[mu] == distinct
 
     @pytest.mark.parametrize("level,d", [(2, 2), (3, 2), (4, 1), (4, 2)])
     def test_positivity_at_sampled_mu(self, level, d):
@@ -633,6 +635,46 @@ class TestIntegerVacuumFunctional:
                 vacuum_expectation(word(gen_star(1), gen(2), gen_star(2), gen(1)), 2)
         finally:
             tccr.symbolic._integer_rule.cache_clear()
+
+
+def reference_random_word(d, max_len, rng, min_len=1):
+    """The sampler before its letter table: a new ``Letter`` per drawn letter."""
+    length = rng.randint(min_len, max_len)
+    return tuple(Letter(rng.randint(1, d), rng.random() < 0.5) for _ in range(length))
+
+
+def reference_random_polynomial(d, max_degree, rng):
+    out = NcPolynomial.zero()
+    for _ in range(rng.randint(1, 4)):
+        word = reference_random_word(d, max_degree, rng, min_len=0)
+        num = rng.choice([-3, -2, -1, 1, 2, 3])
+        den = rng.randint(1, 3)
+        coeff = MuPoly.mu(rng.randint(0, 2), Fraction(num, den))
+        out = out + NcPolynomial.from_word(word, coeff)
+    return out
+
+
+class TestSampler:
+    """The table-driven sampler draws the same words, letter types and polynomials for every seed."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("min_len", [0, 1])
+    def test_words(self, d, min_len):
+        for k in range(2000):
+            rng, ref = random.Random(f"{d}:{k}"), random.Random(f"{d}:{k}")
+            word = random_word(d, 6, rng, min_len=min_len)
+            assert word == reference_random_word(d, 6, ref, min_len=min_len)
+            assert all(type(x) is Letter and type(x.index) is int and type(x.starred) is bool for x in word)
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_polynomials(self, d):
+        for k in range(2000):
+            rng, ref = random.Random(f"{d}:{k}"), random.Random(f"{d}:{k}")
+            got, want = random_polynomial(d, 5, rng), reference_random_polynomial(d, 5, ref)
+            assert list(got._terms.items()) == list(want._terms.items())
+            assert all(type(x) is Letter for word in got._terms for x in word)
+            assert rng.getstate() == ref.getstate()
 
 
 class TestParser:
