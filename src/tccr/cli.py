@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .families import IrrepSpec, build_fock_tccr, build_irrep, build_qccr_single
-from .fock import core_residual, identity, polar_left, psd_sqrt
+from .fock import core_residual, enumerate_basis, identity, polar_left, psd_sqrt
 from .reconstruct import (
     _require_power_cap,
     _roundtrip,
@@ -174,8 +174,7 @@ _COMMON = (
 )
 
 
-def _parser(chosen: str | None) -> argparse.ArgumentParser:
-    """Every subcommand's parser, with arguments on ``chosen`` only, or on all when it is None."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tccr",
         description="Verify deformed commutation relations and their partial-isometry form on truncated bases.",
@@ -183,14 +182,31 @@ def _parser(chosen: str | None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (summary, arguments) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        if chosen in (None, name):
-            for flag, keywords in (*arguments, *_COMMON):
-                p.add_argument(flag, **keywords)
+        for flag, keywords in (*arguments, *_COMMON):
+            p.add_argument(flag, **keywords)
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parser(None)
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)``, read from the table for a subcommand name, then ``--flag value``
+    pairs that name its own flags exactly, with values that argparse takes as values and the types and choices
+    accept; None for any other argv, which is argparse's to read (help, other spellings, usage errors)."""
+    if not argv or argv[0] not in _SUBCOMMANDS or len(argv) % 2 == 0:
+        return None
+    arguments = dict((*_SUBCOMMANDS[argv[0]][1], *_COMMON))
+    values = {flag: keywords["default"] for flag, keywords in arguments.items()}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        # argparse takes a token starting with '-' as a value only if it is '-' or a negative number (-1, -.5)
+        number = text[1:].replace(".", "", 1).isdecimal() and not text.endswith(".")
+        if flag not in arguments or text[:1] == "-" and text != "-" and not number:
+            return None
+        try:
+            values[flag] = value = arguments[flag].get("type", str)(text)
+        except (argparse.ArgumentTypeError, ValueError, TypeError):
+            return None
+        if "choices" in arguments[flag] and value not in arguments[flag]["choices"]:
+            return None
+    return argparse.Namespace(subcommand=argv[0], **{f[2:].replace("-", "_"): v for f, v in values.items()})
 
 
 def run_verify(d: int, mu: float, cap: int, tol: float) -> VerificationReport:
@@ -235,7 +251,9 @@ def run_irreps(
     tol: float,
     class_j: int | None = None,
 ) -> VerificationReport:
-    if class_j is not None and not 0 <= class_j <= d:
+    if class_j is None:
+        enumerate_basis(d, cap)  # class d's d-slot basis, checked before any class is built
+    elif not 0 <= class_j <= d:
         raise ValueError(f"class_j must lie in 0..{d}, got {class_j}")
     classes = range(d + 1) if class_j is None else (class_j,)
     parts = [
@@ -306,6 +324,7 @@ def run_gram(
 def run_faithfulness(
     d: int, cap: int, phase: float, words: int, max_len: int, seed: int, tol: float
 ) -> VerificationReport:
+    enumerate_basis(d, cap)  # the vacuum-cyclic family's basis, checked before any class is built
     parts = [_prefixed(collapse_check(d, j, phase, cap), f"j{j}/") for j in range(d)]
     parts.append(
         norm_domination_sample(
@@ -398,36 +417,17 @@ def emit_report(report: VerificationReport, fmt: str, out: str | None) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top level takes no option with a value, so the first subcommand name in argv is the one parsed
-    chosen = next((a for a in argv if a in _SUBCOMMANDS), "")
-    parser = _parser(chosen)
-    args = parser.parse_args(argv)
+    # each flag is named after a parameter of its subcommand's runner
+    args = vars(_plain_args(argv) or build_parser().parse_args(argv))
+    command, fmt, out = args.pop("subcommand"), args.pop("format"), args.pop("out")
+    run = {"verify": run_verify, "roundtrip": run_roundtrip, "irreps": run_irreps, "gram": run_gram,
+           "faithfulness": run_faithfulness, "qccr": run_qccr, "demo": run_demo}[command]
     try:
-        if args.subcommand == "verify":
-            report = run_verify(args.d, args.mu, args.cap, args.tol)
-        elif args.subcommand == "roundtrip":
-            report = run_roundtrip(args.d, args.mu, args.cap, args.rank_tol, args.tol)
-        elif args.subcommand == "irreps":
-            report = run_irreps(args.d, args.cap, args.phases, args.tol, args.class_j)
-        elif args.subcommand == "gram":
-            report = run_gram(
-                args.d, args.level, args.cap, args.bridge_count, args.seed, args.tol,
-                echo=lambda line: print(line),
-            )
-        elif args.subcommand == "faithfulness":
-            report = run_faithfulness(
-                args.d, args.cap, args.phase, args.words, args.max_len, args.seed, args.tol
-            )
-        elif args.subcommand == "qccr":
-            report = run_qccr(args.q, args.cap, args.tol)
-        elif args.subcommand == "demo":
-            report = run_demo()
-        else:  # unreachable with required=True
-            parser.error(f"unknown subcommand {args.subcommand!r}")
+        report = run(**args, echo=print) if command == "gram" else run(**args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return emit_report(report, args.format, args.out)
+    return emit_report(report, fmt, out)
 
 
 if __name__ == "__main__":

@@ -163,11 +163,11 @@ def enumerate_basis(slots: int, cap: int) -> FockBasis:
     if slots < 1 or cap < 1:
         raise ValueError(f"slots and cap must be >= 1, got slots={slots}, cap={cap}")
     limit = _dim_limit()
-    dim = (cap + 1) ** slots
-    if dim > limit:
-        raise CapacityError(
-            f"basis dimension {dim} = ({cap}+1)^{slots} exceeds limit {limit}"
-        )
+    # (cap+1)^slots >= 2^slots > limit once slots reaches the limit's bit length, so the power is not taken
+    dim = (cap + 1) ** slots if slots < limit.bit_length() else None
+    if dim is None or dim > limit:
+        shown = f"{dim} = " if dim is not None and dim.bit_length() <= 64 else ""
+        raise CapacityError(f"basis dimension {shown}({cap}+1)^{slots} exceeds limit {limit}")
     return FockBasis(slots=slots, cap=cap)
 
 

@@ -7,10 +7,11 @@ pass flag and the summary are recomputed from residual/tolerance on load
 rather than trusted from the file.
 
 Each check is validated once, by ``VerificationReport.add``: string id and
-description, real (non-bool) residual and tolerance that stay finite at 15
-significant digits, unique id.  A call with a ``str`` id and description and
-``float`` numbers passes on exact type tests and range compares; any other
-input goes through the general checks and their messages.  ``add`` rounds
+description free of surrogate code points, real (non-bool) residual and
+tolerance that stay finite at 15 significant digits, unique id.  A call with
+an ASCII ``str`` id and description and ``float`` numbers passes on exact
+type tests and range compares; any other input goes through the general
+checks and their messages.  ``add`` rounds
 both numbers to those 15 digits (a tolerance object repeated from the last
 call is rounded once) and builds the ``Check`` through ``Check._closed``,
 which stores fields as given.  The public ``Check`` constructor still rounds.
@@ -116,12 +117,15 @@ class VerificationReport:
     def add(self, id: str, description: str, residual: float, tolerance: float) -> Check:
         """Validate and append a check.
 
-        The id and description must be strings and both numbers real (not bool) and finite at
-        15 significant digits; ids are unique.  Every other way in relies on this one.
+        The id and description must be strings without surrogate code points (which neither
+        UTF-8 nor a JSON round trip keeps), both numbers real (not bool) and finite at 15
+        significant digits, and ids unique.  Every other way in relies on this one.
         """
         if (
             type(id) is str
             and type(description) is str
+            and id.isascii()
+            and description.isascii()
             and type(residual) is float
             and type(tolerance) is float
             and -_WRITABLE_MAX <= residual <= _WRITABLE_MAX
@@ -246,6 +250,11 @@ def _validate(id: object, description: object, residual: object, tolerance: obje
             f"check {id!r} needs a string id and description, "
             f"not {type(id).__name__} and {type(description).__name__}"
         )
+    if not (_is_scalar_text(id) and _is_scalar_text(description)):
+        # a lone surrogate cannot be written as UTF-8, and a pair of them in JSON reads back as one character
+        raise ValueError(
+            f"check {id!r} has a surrogate code point (U+D800..U+DFFF) in its id or description"
+        )
     if not (_is_real(residual) and _is_real(tolerance)):
         raise ValueError(
             f"check {id!r} needs real numbers as residual and tolerance: {residual!r}, {tolerance!r}"
@@ -255,6 +264,14 @@ def _validate(id: object, description: object, residual: object, tolerance: obje
             f"check {id!r} has a non-finite residual or tolerance (at 15 significant digits): "
             f"{residual}, {tolerance}"
         )
+
+
+def _is_scalar_text(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _is_real(x: object) -> bool:

@@ -60,6 +60,10 @@ class ReferenceReport:
                 f"check {id!r} needs a string id and description, "
                 f"not {type(id).__name__} and {type(description).__name__}"
             )
+        if any("\ud800" <= ch <= "\udfff" for ch in id + description):
+            raise ValueError(
+                f"check {id!r} has a surrogate code point (U+D800..U+DFFF) in its id or description"
+            )
         if not (_is_real(residual) and _is_real(tolerance)):
             raise ValueError(
                 f"check {id!r} needs real numbers as residual and tolerance: {residual!r}, {tolerance!r}"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tccr.cli
+import tccr.relations
 from tccr.cli import build_parser, main
 from tccr.families import IrrepSpec, build_irrep
 from tccr.symbolic import gen, gen_star, random_word, word_norms
@@ -64,6 +65,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "roundtrip", "--d", d, "--cap", "4")
         assert code == 2 and out == ""
         assert "power identities up to 3 need cap >= 6, got 4" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["faithfulness", "--d", "1000000", "--cap", "2", "--words", "1", "--max-len", "1"],
+        ["irreps", "--d", "1000000", "--cap", "2"],
+    ])
+    def test_huge_basis_is_the_capacity_error_before_any_build(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a family was built before the basis was checked")
+
+        for module in (tccr.cli, tccr.relations):
+            monkeypatch.setattr(module, "build_irrep", refuse)
+        monkeypatch.setattr(tccr.cli, "build_fock_tccr", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: basis dimension (2+1)^1000000 exceeds limit ")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-8"])
     @pytest.mark.parametrize(
@@ -120,8 +136,45 @@ class TestExitCodes:
 SUBCOMMANDS = ("verify", "roundtrip", "irreps", "gram", "faithfulness", "qccr", "demo")
 
 
+# argv of the plain form (a subcommand, then --flag value pairs), which main reads from the subcommand table
+PLAIN = [
+    *([s] for s in SUBCOMMANDS),
+    ["verify", "--d", "3", "--mu", "0.25", "--cap", "5", "--tol", "1e-9", "--out", "r.json", "--format", "csv"],
+    ["roundtrip", "--d", "2", "--mu", "-0.6", "--cap", "6", "--rank-tol", "1e-7", "--tol", "1e-9", "--out", "-",
+     "--format", "md"],
+    ["irreps", "--d", "2", "--cap", "4", "--class-j", "1", "--phases", "0,pi/3,-2pi/3", "--tol", "1e-9",
+     "--out", "r", "--format", "json"],
+    ["gram", "--d", "2", "--level", "3", "--cap", "5", "--bridge-count", "4", "--seed", "7", "--tol", "1e-9",
+     "--out", "r", "--format", "csv"],
+    ["faithfulness", "--d", "2", "--cap", "6", "--phase", "pi/3", "--words", "5", "--max-len", "3", "--seed", "-3",
+     "--tol", "1e-8", "--out", "r", "--format", "md"],
+    ["qccr", "--q", "-.5", "--cap", "6", "--tol", "1e-9", "--out", "-", "--format", "json"],
+    ["demo", "--out", "r", "--format", "md"],
+    ["verify", "--mu", "-0.6"], ["gram", "--d", "3", "--seed", "5", "--d", "2"], ["qccr", "--format", "md"],
+    ["qccr", "--out", "-", "--q", "-0"],
+]
+# argv that only argparse reads: other spellings, and some whose reading varies with the Python version
+# ("--", and whether -1e-3 is a negative number), and usage errors
+OTHER_SPELLINGS = [
+    ["gram", "--d=3"], ["gram", "--bridge", "3"], ["verify", "--mu=-1e-3"], ["qccr", "--q", "0.3", "--q=0.2"],
+    ["qccr", "--", "--cap", "6"], ["qccr", "--cap", "6", "--"], ["verify", "--mu", "-1e-3"], ["qccr", "--q", "-5."],
+]
+USAGE_ERRORS = [
+    ["verify", "--mu", "-inf"], ["qccr", "--format", "xml"], ["qccr", "--cap"],
+    ["irreps", "--phases", "pi/x"], ["gram", "--d", "0", "--d", "2"], ["qccr", "--q", "0.3", "stray"],
+    ["verify", "-d", "2"],
+]
+
+
+def refuse_parsers(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an ArgumentParser was built for a plain argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+
+
 class TestParserParity:
-    """``main`` adds arguments only to the subcommand it runs; what a user sees is the full parser's."""
+    """``main`` reads a plain argv from the subcommand table and hands every other argv to the full parser."""
 
     @staticmethod
     def outcome(capsys, parse, argv):
@@ -130,12 +183,50 @@ class TestParserParity:
         out, err = capsys.readouterr()
         return exc.value.code, out, err
 
+    @staticmethod
+    def main_args(monkeypatch, argv):
+        """The arguments that ``main`` hands to the subcommand's runner and to ``emit_report``, as a Namespace."""
+        seen = {}
+
+        def runner(name):
+            def run(**kwargs):
+                kwargs.pop("echo", None)
+                seen.update(kwargs, subcommand=name)
+                return tccr.cli.VerificationReport(name)
+
+            return run
+
+        for name in SUBCOMMANDS:
+            monkeypatch.setattr(tccr.cli, f"run_{name}", runner(name))
+        monkeypatch.setattr(tccr.cli, "emit_report", lambda report, fmt, out: seen.update(format=fmt, out=out))
+        assert main(argv) is None
+        return argparse.Namespace(**seen)
+
+    @pytest.mark.parametrize("argv", PLAIN, ids=" ".join)
+    def test_plain_argv_is_read_from_the_table(self, monkeypatch, argv):
+        want = build_parser().parse_args(argv)
+        refuse_parsers(monkeypatch)
+        assert self.main_args(monkeypatch, argv) == want
+
+    @pytest.mark.parametrize("argv", OTHER_SPELLINGS, ids=" ".join)
+    def test_other_spellings_go_to_the_full_parser(self, capsys, monkeypatch, argv):
+        def result(parse):
+            try:
+                return parse(argv)
+            except SystemExit as exc:
+                return (exc.code, *capsys.readouterr())
+
+        assert tccr.cli._plain_args(argv) is None
+        want = result(build_parser().parse_args)
+        assert result(lambda a: self.main_args(monkeypatch, a)) == want
+
     @pytest.mark.parametrize("argv", [
         ["--help"], ["-h", "gram"], *([s, "--help"] for s in SUBCOMMANDS), [], ["bogus"], ["bogus", "gram"],
         ["gram", "--frobnicate"], ["verify", "--mu", "1.5"], ["--frobnicate", "gram", "--d", "2"],
-        ["faithfulness", "--out", "gram", "--max-len", "x"], ["demo", "--d", "2"],
-    ])
-    def test_selective_parser_matches_the_full_parser(self, capsys, argv):
+        ["faithfulness", "--out", "gram", "--max-len", "x"], ["demo", "--d", "2"], *USAGE_ERRORS,
+    ], ids=" ".join)
+    def test_help_and_errors_are_the_full_parser_s(self, capsys, argv):
+        assert tccr.cli._plain_args(argv) is None
         want = self.outcome(capsys, lambda a: build_parser().parse_args(a), argv)
         assert self.outcome(capsys, main, argv) == want
         assert want[0] in (0, 2) and want[1] + want[2]
@@ -145,19 +236,10 @@ class TestParserParity:
         monkeypatch.setattr(sys, "argv", ["tccr", "qccr", "--help"])
         assert self.outcome(capsys, main, None) == want
 
-    def test_only_the_chosen_subcommand_gets_arguments(self, capsys, monkeypatch):
-        added = []
-        add_argument = argparse.ArgumentParser.add_argument
-
-        def record(parser, *args, **kwargs):
-            added.append(parser.prog)
-            return add_argument(parser, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
-        self.outcome(capsys, main, ["qccr", "--help"])
-        # -h on the top level and each of the 7 subparsers, then --q, --cap, --tol, --out, --format
-        assert sorted(set(added)) == ["tccr", *sorted(f"tccr {s}" for s in SUBCOMMANDS)]
-        assert [p for p in added if p == "tccr qccr"] == ["tccr qccr"] * 6
+    def test_a_plain_campaign_builds_no_parser(self, capsys, monkeypatch):
+        refuse_parsers(monkeypatch)
+        code, out, _ = run(capsys, "qccr", "--q", "0.3", "--cap", "6", "--format", "csv")
+        assert code == 0 and out.startswith("id,description,residual,tolerance,pass\n")
 
 
 class TestFormats:

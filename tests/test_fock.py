@@ -70,6 +70,12 @@ class TestEnumerateBasis:
         with pytest.raises(CapacityError, match="100000"):
             enumerate_basis(5, 9)
 
+    @pytest.mark.parametrize("slots,cap", [(10**6, 2), (10, 10**40)])
+    def test_capacity_error_of_a_huge_basis_names_the_power(self, slots, cap):
+        # (cap+1)^slots has too many digits to format (or, at a million slots, to be worth taking)
+        with pytest.raises(CapacityError, match=rf"^basis dimension \({cap}\+1\)\^{slots} exceeds limit \d+$"):
+            enumerate_basis(slots, cap)
+
     def test_capacity_env_override(self, monkeypatch):
         monkeypatch.setenv("TCCR_DIM_LIMIT", "10")
         with pytest.raises(CapacityError):
