@@ -251,9 +251,8 @@ def run_irreps(
     tol: float,
     class_j: int | None = None,
 ) -> VerificationReport:
-    if class_j is None:
-        enumerate_basis(d, cap)  # class d's d-slot basis, checked before any class is built
-    elif not 0 <= class_j <= d:
+    enumerate_basis(d, cap)  # the d-slot basis of class d, checked before any class is built
+    if class_j is not None and not 0 <= class_j <= d:
         raise ValueError(f"class_j must lie in 0..{d}, got {class_j}")
     classes = range(d + 1) if class_j is None else (class_j,)
     parts = [

@@ -303,7 +303,7 @@ def _stage_identities(
     family = GeneratorFamily(basis=t.basis, ops=(*t.ops, *stages, *trace.defects))
     for relset in stage_relations(t.d, max_power):
         report.extend(relation_residuals(
-            family, relset, mu, command=report.command, params=params, tolerance=tolerance, symbol="t",
+            family, relset, mu, command=report.command, params=params, tolerance=tolerance,
         ))
     return report
 

@@ -6,8 +6,8 @@ report names the identity it measures.  A relation set is measured with one
 pass of the suffix-shared word kernel per core level, over the core columns
 only, whatever the relations; a false relation whose difference is not
 monomial is measured densely per block of the core it connects.  ``tccr_relations``
-and ``pi_relations`` depend only on d, so each set is built once per d and its
-check descriptions once per symbol, behind small bounded caches.  Alongside
+and ``pi_relations`` depend only on d, so each set is built once per d, behind
+small bounded caches, and each relation carries its check text.  Alongside
 the residual reports this module houses the operator-norm bound check, the
 sampled norm-domination evidence, and the slot-collapse map that sends the
 vacuum-cyclic family onto each lower class, with tensor words evaluated by
@@ -84,13 +84,15 @@ class Relation:
     lhs: NcPolynomial
     rhs: NcPolynomial
     core_level: int | None = None
-    description: str | None = None
+    description: str | None = None  # default: the two sides written with the symbol a
 
     def __post_init__(self) -> None:
         level = self.degree if self.core_level is None else self.core_level
         if isinstance(level, bool) or not isinstance(level, numbers.Integral) or level < 0:
             raise ValueError(f"core level must be an int >= 0, got {level!r}")
         object.__setattr__(self, "core_level", int(level))
+        if self.description is None:
+            object.__setattr__(self, "description", f"{self.lhs.to_text()} = {self.rhs.to_text()}")
 
     @property
     def degree(self) -> int:
@@ -107,11 +109,6 @@ class RelationSet:
         labels = [r.label for r in self.relations]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate relation labels in {self.kind}")
-
-    def __hash__(self) -> int:
-        # equal sets share kind and size; hashing every term of every polynomial costs
-        # more than the description lookup it keys
-        return hash((self.kind, len(self.relations)))
 
     def adjoint(self) -> "RelationSet":
         flipped = tuple(
@@ -168,23 +165,22 @@ def pi_relations(d: int) -> RelationSet:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     rels: list[Relation] = []
+
+    def add(label: str, lhs: NcPolynomial, rhs: NcPolynomial) -> None:
+        rels.append(Relation(label, lhs, rhs, description=f"{lhs.to_text('t')} = {rhs.to_text('t')}"))
+
     for i in range(1, d + 1):
         rhs = NcPolynomial.one()
         for k in range(1, i):
             rhs = rhs - _pair(gen(k), gen_star(k))
-        rels.append(Relation(f"diag/i{i}", _pair(gen_star(i), gen(i)), rhs))
+        add(f"diag/i{i}", _pair(gen_star(i), gen(i)), rhs)
     for i in range(1, d + 1):
         for j in range(1, d + 1):
-            if i == j:
-                continue
-            rels.append(
-                Relation(f"cross/i{i}j{j}", _pair(gen_star(i), gen(j)), NcPolynomial.zero())
-            )
+            if i != j:
+                add(f"cross/i{i}j{j}", _pair(gen_star(i), gen(j)), NcPolynomial.zero())
     for j in range(2, d + 1):
         for i in range(1, j):
-            rels.append(
-                Relation(f"order/j{j}i{i}", _pair(gen(j), gen(i)), NcPolynomial.zero())
-            )
+            add(f"order/j{j}i{i}", _pair(gen(j), gen(i)), NcPolynomial.zero())
     return RelationSet(kind=f"PI({d})", relations=tuple(rels))
 
 
@@ -195,11 +191,6 @@ def qccr_relations() -> RelationSet:
         kind="QCCR(q)",
         relations=(Relation("diag/i1", _pair(gen_star(1), gen(1)), rhs),),
     )
-
-
-@functools.lru_cache(maxsize=16)
-def _descriptions(relset: RelationSet, symbol: str) -> tuple[str, ...]:
-    return tuple(r.description or f"{r.lhs.to_text(symbol)} = {r.rhs.to_text(symbol)}" for r in relset.relations)
 
 
 def _core_sum(values: np.ndarray, at: dict[Word, int], terms, mu: float) -> np.ndarray:
@@ -277,7 +268,6 @@ def relation_residuals(
     command: str,
     params: dict,
     tolerance: float,
-    symbol: str = "a",
     id_prefix: str = "",
 ) -> VerificationReport:
     """One core-residual check per relation in the set, from one kernel pass per core level.
@@ -291,8 +281,8 @@ def relation_residuals(
     """
     report = VerificationReport(command=command, params=params)
     residuals = _kernel_residuals(family, relset.relations, mu)
-    for rel, residual, description in zip(relset.relations, residuals, _descriptions(relset, symbol)):
-        report.add(id_prefix + rel.label, description, residual, tolerance)
+    for rel, residual in zip(relset.relations, residuals):
+        report.add(id_prefix + rel.label, rel.description, residual, tolerance)
     return report
 
 
@@ -305,7 +295,6 @@ def tccr_residuals(a: TccrFamily, tolerance: float = MODEL_TOL, id_prefix: str =
         command="tccr_residuals",
         params=params,
         tolerance=tolerance,
-        symbol="a",
         id_prefix=id_prefix,
     )
 
@@ -322,7 +311,6 @@ def pi_residuals(t: GeneratorFamily, tolerance: float = MODEL_TOL, id_prefix: st
         command="pi_residuals",
         params=params,
         tolerance=tolerance,
-        symbol="t",
         id_prefix=id_prefix,
     )
 
@@ -337,7 +325,6 @@ def qccr_residuals(op: LinearOperator, q: float, tolerance: float = 1e-12) -> Ve
         command="qccr_residuals",
         params=params,
         tolerance=tolerance,
-        symbol="a",
         id_prefix="qccr/",
     )
 

@@ -20,10 +20,12 @@ the already-validated checks after one set test for duplicate ids; only a
 duplicate sends them through the check-by-check append, which names the
 first one.
 
-The three writers share one pass, ``_rows``: the checks sorted by id, each
-tested finite (a check appended to ``checks`` directly, past ``add``, may not
-be), and their pass flags, whose sum is the summary and, through ``render``,
-the exit status of ``tccr.cli.emit_report``.  ``to_json`` writes each check
+The three writers share one pass, ``_rows``: the command and every string
+of the params, keys and values at any depth, tested free of surrogate code
+points (``add`` never sees them), the checks sorted by id, each tested
+finite (a check appended to ``checks`` directly, past ``add``, may not be),
+and their pass flags, whose sum is the summary and, through ``render``, the
+exit status of ``tccr.cli.emit_report``.  ``to_json`` writes each check
 from one fixed template (strings through the C string encoder of ``json``,
 floats as ``repr``) instead of running the pure-Python encoder that
 ``indent`` selects.  Its bytes are those of
@@ -204,7 +206,10 @@ class VerificationReport:
         }
 
     def _rows(self) -> tuple[list[Check], list[bool]]:
-        """The checks sorted by id and their pass flags; a check that no writer can write raises."""
+        """The checks sorted by id and their pass flags; a report that no writer can write raises."""
+        for text in _texts((self.command, self.params)):
+            if not _is_scalar_text(text):
+                raise ValueError(f"report text {text!r} has a surrogate code point (U+D800..U+DFFF)")
         rows = self.sorted_checks()
         flags = []
         for c in rows:
@@ -272,6 +277,15 @@ def _is_scalar_text(text: str) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+def _texts(value: object) -> Iterable[str]:
+    """Every string in a value, depth first: itself, or those of its items, or of a dict's keys and values."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, (list, tuple, dict)):
+        for item in value.items() if isinstance(value, dict) else value:
+            yield from _texts(item)
 
 
 def _is_real(x: object) -> bool:

@@ -25,7 +25,8 @@ index's charge #x_i - #x_i*, so a word of nonzero charge has value 0; (2) a
 word that starts unstarred keeps an unstarred first letter through every
 rewrite, so it never reaches the empty word; (3) likewise a word that ends
 starred.  Every coefficient of R1-R4 (1, mu, mu^2 and -(1 - mu^2)) lies in
-Z[mu], so every word's value does too: the functional runs the ``MuPoly``
+Z[mu], so ``_rule`` states them once on ``int`` coefficients, and every
+word's value lies in Z[mu] too: the functional runs the ``MuPoly``
 arithmetic on ``int`` coefficients and builds ``Fraction`` polynomials only
 for the values it returns.
 """
@@ -76,21 +77,28 @@ __all__ = [
 # Rewrite engine
 # ---------------------------------------------------------------------------
 
-_ONE_MINUS_MU2 = MuPoly({0: 1, 2: -1})
-_MU2 = MuPoly.mu(2)
-_MU = MuPoly.mu(1)
+# MuPolys with int coefficients: the coefficients of R1-R4 and the values of _vacuum_word
+_INT_ZERO = MuPoly._closed({})
+_INT_ONE = MuPoly._closed({0: 1})
+_INT_MU = MuPoly._closed({1: 1})
+_INT_MU2 = MuPoly._closed({2: 1})
+_INT_MINUS_ONE_MINUS_MU2 = MuPoly._closed({0: -1, 2: 1})
 
 _STRATEGIES = ("leftmost", "rightmost")
 
 
-def _is_redex(a: Letter, b: Letter) -> bool:
+@functools.lru_cache(maxsize=1024)
+def _rule(a: Letter, b: Letter) -> tuple[tuple[Word, MuPoly], ...] | None:
+    """The replacement terms of ``a b`` under R1-R4, or None when ``a b`` may stand in a normal word."""
     if a.starred and not b.starred:
-        return True
-    if not a.starred and not b.starred and a.index > b.index:
-        return True
-    if a.starred and b.starred and a.index < b.index:
-        return True
-    return False
+        if a.index != b.index:  # R2
+            return (((b, a), _INT_MU),)
+        i = a.index  # R1
+        lower = tuple(((gen(k), gen_star(k)), _INT_MINUS_ONE_MINUS_MU2) for k in range(1, i))
+        return ((), _INT_ONE), ((gen(i), gen_star(i)), _INT_MU2), *lower
+    if a.starred == b.starred and (a.index < b.index if a.starred else a.index > b.index):  # R4, R3
+        return (((b, a), _INT_MU),)
+    return None
 
 
 def _find_redex(word: Word, strategy: str) -> int | None:
@@ -98,28 +106,9 @@ def _find_redex(word: Word, strategy: str) -> int | None:
     if strategy == "rightmost":
         positions = reversed(positions)
     for pos in positions:
-        if _is_redex(word[pos], word[pos + 1]):
+        if _rule(word[pos], word[pos + 1]) is not None:
             return pos
     return None
-
-
-def _pair_replacement(a: Letter, b: Letter) -> NcPolynomial:
-    if a.starred and not b.starred:
-        if a.index == b.index:
-            i = a.index
-            terms: dict[Word, MuPoly] = {
-                (): MuPoly.one(),
-                (gen(i), gen_star(i)): _MU2,
-            }
-            for k in range(1, i):
-                terms[(gen(k), gen_star(k))] = -_ONE_MINUS_MU2
-            return NcPolynomial(terms)
-        return NcPolynomial({(b, a): _MU})
-    if not a.starred and not b.starred and a.index > b.index:
-        return NcPolynomial({(b, a): _MU})
-    if a.starred and b.starred and a.index < b.index:
-        return NcPolynomial({(b, a): _MU})
-    raise ValueError(f"not a redex: {a}, {b}")
 
 
 def _check_indices(words: Iterable[Word], d: int) -> None:
@@ -147,10 +136,10 @@ def normal_order(p: NcPolynomial, d: int, strategy: str = "leftmost") -> NcPolyn
                 acc = done.get(word)
                 done[word] = coeff if acc is None else acc + coeff
                 continue
-            repl = _pair_replacement(word[pos], word[pos + 1])
             head, tail = word[:pos], word[pos + 2 :]
-            for rw, rc in repl._terms.items():
+            for rw, rc in _rule(word[pos], word[pos + 1]):
                 new_word = head + rw + tail
+                # coeff's Fractions times int coefficients are Fractions
                 add = coeff * rc
                 acc = next_pending.get(new_word)
                 next_pending[new_word] = add if acc is None else acc + add
@@ -160,24 +149,6 @@ def normal_order(p: NcPolynomial, d: int, strategy: str = "leftmost") -> NcPolyn
 
 def _content(letters: Iterable[Letter]) -> list[int]:
     return sorted(l.index for l in letters)
-
-
-# MuPolys with int coefficients: the values of _vacuum_word
-_INT_ZERO = MuPoly._closed({})
-_INT_ONE = MuPoly._closed({0: 1})
-
-
-@functools.lru_cache(maxsize=1024)
-def _integer_rule(a: Letter, b: Letter) -> tuple[tuple[Word, MuPoly], ...]:
-    """The terms of ``_pair_replacement(a, b)`` with int coefficients."""
-    terms = []
-    for word, coeff in _pair_replacement(a, b)._terms.items():
-        # int() would truncate a coefficient outside Z, so the denominator is checked first
-        bad = [c for c in coeff._coeffs.values() if c.denominator != 1]
-        if bad:
-            raise ValueError(f"rule {word_str((a, b))} -> {word_str(word)} has a non-integer coefficient {bad[0]}")
-        terms.append((word, MuPoly._closed({e: c.numerator for e, c in coeff._coeffs.items()})))
-    return tuple(terms)
 
 
 def _fractions(p: MuPoly) -> MuPoly:
@@ -203,7 +174,7 @@ def _vacuum_word(word: Word, memo: dict[Word, MuPoly]) -> MuPoly:
             continue
         # w starts starred and ends unstarred, so it has a redex
         pos = _find_redex(w, "leftmost")
-        children = [(w[:pos] + rw + w[pos + 2 :], rc) for rw, rc in _integer_rule(w[pos], w[pos + 1])]
+        children = [(w[:pos] + rw + w[pos + 2 :], rc) for rw, rc in _rule(w[pos], w[pos + 1])]
         missing = [c for c, _ in children if value(c) is None]
         if missing:
             stack += [w, *missing]

@@ -10,7 +10,8 @@ concatenation and one sorted pass shared by the writers.
 
 One difference is intended: a check with a non-finite number, which only an
 append past ``add`` can hold, makes every writer of ``tccr.report`` raise,
-where this ``to_csv`` and ``to_markdown`` write it.
+where this ``to_csv`` and ``to_markdown`` write it.  Both reject a command
+or a params string with a surrogate code point in every writer.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ class ReferenceReport:
         return sorted(self.checks, key=lambda c: c.id)
 
     def to_json(self) -> str:
+        _reject_surrogates((self.command, self.params))
         head = json.dumps(
             {
                 "command": self.command,
@@ -114,6 +116,7 @@ class ReferenceReport:
         return '{\n  "checks": ' + listed + ",\n" + head[2:] + "\n"
 
     def to_csv(self) -> str:
+        _reject_surrogates((self.command, self.params))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["id", "description", "residual", "tolerance", "pass"])
@@ -124,6 +127,7 @@ class ReferenceReport:
         return buf.getvalue()
 
     def to_markdown(self) -> str:
+        _reject_surrogates((self.command, self.params))
         lines = [
             f"# {self.command}",
             "",
@@ -137,6 +141,20 @@ class ReferenceReport:
             lines.append(f"| {c.id} | {c.description} | {c.residual:.3e} | {c.tolerance:.3e} | {status} |")
         lines += ["", f"summary: {self.passed}/{self.total} passed", ""]
         return "\n".join(lines)
+
+
+def _reject_surrogates(value) -> None:
+    """Raise for the first string holding a surrogate code point, depth first through lists, tuples and dicts."""
+    if isinstance(value, str):
+        if any("\ud800" <= ch <= "\udfff" for ch in value):
+            raise ValueError(f"report text {value!r} has a surrogate code point (U+D800..U+DFFF)")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _reject_surrogates(key)
+            _reject_surrogates(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _reject_surrogates(item)
 
 
 def _check_json(c) -> str:

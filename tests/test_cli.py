@@ -69,6 +69,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["faithfulness", "--d", "1000000", "--cap", "2", "--words", "1", "--max-len", "1"],
         ["irreps", "--d", "1000000", "--cap", "2"],
+        ["irreps", "--d", "1000000", "--cap", "2", "--class-j", "0"],
     ])
     def test_huge_basis_is_the_capacity_error_before_any_build(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):

@@ -63,6 +63,12 @@ class TestRelationSets:
             assert {rel.degree for rel in rels.relations} == {2}
         assert Relation("x", NcPolynomial.generator(1), NcPolynomial.zero()).degree == 1
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_each_relation_carries_the_text_of_its_sides(self, d):
+        for relset, symbol in ((tccr_relations(d), "a"), (pi_relations(d), "t"), (qccr_relations(), "a")):
+            for rel in relset.relations:
+                assert rel.description == f"{rel.lhs.to_text(symbol)} = {rel.rhs.to_text(symbol)}", rel.label
+
     def test_duplicate_labels_rejected(self):
         rel = Relation("same", NcPolynomial.generator(1), NcPolynomial.zero())
         with pytest.raises(ValueError, match="duplicate"):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tccr.cli import _prefixed, run_faithfulness
+from tccr.cli import _prefixed, emit_report, run_faithfulness
 from tccr.families import build_fock_tccr
 from tccr.relations import collapse_check, tccr_residuals
 from tccr.report import _WRITABLE_MAX, Check, VerificationReport, merge_reports, round_float
@@ -65,6 +65,10 @@ def json_values(text):
 json_value = json_values(text)
 
 
+def has_surrogate(report):
+    return re.search("[\ud800-\udfff]", json.dumps([report.command, report.params], ensure_ascii=False)) is not None
+
+
 @st.composite
 def reports(draw, text=text):
     """A report whose command and params are drawn from ``text``, with checks of scalar text."""
@@ -81,7 +85,11 @@ class TestWriter:
     @given(reports())
     @settings(max_examples=150, deadline=None)
     def test_bytes_equal_the_sorted_indented_encoder(self, report):
-        assert report.to_json() == reference_json(report)
+        if has_surrogate(report):
+            with pytest.raises(ValueError, match="surrogate code point"):
+                report.to_json()
+        else:
+            assert report.to_json() == reference_json(report)
 
     # JSON writes a surrogate pair as two escapes, which load as one character that sorts elsewhere
     @given(reports(scalar_text))
@@ -98,6 +106,27 @@ class TestWriter:
         written = json.dumps({"command": "x", "params": {}, "checks": [check]})
         with pytest.raises(ValueError, match="surrogate code point"):
             VerificationReport.from_json(written)
+
+    @pytest.mark.parametrize("command,params,named", [
+        ("x", {"\ud800\udfff": 1, "\udfff": 2}, "\ud800\udfff"),
+        ("x", {"k": ["ok", "é\udfff"]}, "é\udfff"),
+        ("x", {"k": {"inner": "\ud800"}}, "\ud800"),
+        ("\ud800", {}, "\ud800"),
+    ])
+    def test_surrogate_command_or_params_is_rejected_by_every_writer(self, command, params, named):
+        # two such keys would be written as escapes that load back as one character, which sorts elsewhere
+        report = VerificationReport(command, params)
+        report.add("c", "d", 0.0, 1.0)
+        message = f"report text {named!r} has a surrogate code point"
+        for writer in (report.to_json, report.to_csv, report.to_markdown):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                writer()
+
+    def test_surrogate_command_raises_before_the_file_is_written(self, tmp_path):
+        path = tmp_path / "r.md"
+        with pytest.raises(ValueError, match="surrogate code point"):
+            emit_report(VerificationReport("\udfff"), "md", str(path))
+        assert not path.exists()
 
     def test_pass_flag_is_that_of_the_written_numbers(self):
         # 1.0000000000000002 > 1.0, but both are written as 1.0
@@ -140,8 +169,10 @@ class TestWriter:
     @given(reports())
     @settings(max_examples=40, deadline=None)
     def test_render_is_the_writer_and_the_pass_state(self, report):
-        for fmt, writer in [("json", report.to_json), ("csv", report.to_csv), ("md", report.to_markdown)]:
-            assert report.render(fmt) == (writer(), report.all_passed)
+        for fmt, writer in [("json", "to_json"), ("csv", "to_csv"), ("md", "to_markdown")]:
+            written = _result(getattr(report, writer))
+            want = written if isinstance(written, tuple) else (written, report.all_passed)
+            assert _result(report.render, fmt) == want
 
 
 class TestAddRejectsMistypedChecks:
@@ -197,6 +228,14 @@ class TestSingleValidation:
         plain.checks.append(Check("p/" + first.id, first.description, first.residual, first.tolerance))
         with pytest.raises(ValueError, match="duplicate"):
             merge_reports("clash", {}, [plain, _prefixed(parts[0], "p/")])
+
+
+def _result(call, *args):
+    """What a writer gives: its value, or the exception and its message."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def _outcome(report, *args):
@@ -275,7 +314,7 @@ class TestAgainstReference:
         for args in calls:
             assert _outcome(real, *args) == _outcome(ref, *args)
         for writer in ("to_json", "to_csv", "to_markdown"):
-            assert getattr(real, writer)() == getattr(ref, writer)()
+            assert _result(getattr(real, writer)) == _result(getattr(ref, writer))
 
     def test_word_norms_campaign(self, monkeypatch):
         calls = []

@@ -623,18 +623,45 @@ class TestIntegerVacuumFunctional:
             p = random_polynomial(d, 6, random.Random(f"integer:{k}"))
             assert_same_poly(vacuum_expectation(p, d), vacuum_fraction_reference.vacuum_expectation(p, d))
 
-    @pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(-7, 3)])
-    def test_a_rule_with_a_non_integer_coefficient_raises(self, monkeypatch, coeff):
-        # int() would truncate 1/2 to 0 and -7/3 to -2 without a word
-        monkeypatch.setattr(
-            tccr.symbolic, "_pair_replacement", lambda a, b: NcPolynomial({(b, a): MuPoly.mu(1, coeff)})
-        )
-        tccr.symbolic._integer_rule.cache_clear()
-        try:
-            with pytest.raises(ValueError, match=f"a1\\* a2 -> a2 a1\\* has a non-integer coefficient {coeff}"):
-                vacuum_expectation(word(gen_star(1), gen(2), gen_star(2), gen(1)), 2)
-        finally:
-            tccr.symbolic._integer_rule.cache_clear()
+
+def restated_rule(a, b):
+    """R1-R4 as the module docstring states them: (word, [(exponent, coefficient)]) terms, or None."""
+    if a.starred and not b.starred and a.index == b.index:
+        i = a.index
+        lower = [((gen(k), gen_star(k)), [(0, -1), (2, 1)]) for k in range(1, i)]
+        return [((), [(0, 1)]), ((gen(i), gen_star(i)), [(2, 1)]), *lower]
+    if a.starred and not b.starred:
+        return [((b, a), [(1, 1)])]
+    if not a.starred and not b.starred and a.index > b.index:
+        return [((b, a), [(1, 1)])]
+    if a.starred and b.starred and a.index < b.index:
+        return [((b, a), [(1, 1)])]
+    return None
+
+
+class TestRuleTable:
+    """The one rule table ``_rule`` against R1-R4 restated, for every letter pair."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_every_letter_pair_matches_the_restated_rules(self, d):
+        letters = [Letter(i, starred) for i in range(1, d + 1) for starred in (False, True)]
+        for a, b in itertools.product(letters, repeat=2):
+            got = tccr.symbolic._rule(a, b)
+            # a normal word: unstarred letters with non-decreasing indices, then starred ones with non-increasing
+            normal = (
+                (not a.starred and (b.starred or a.index <= b.index))
+                or (a.starred and b.starred and a.index >= b.index)
+            )
+            assert (got is None) == normal, (a, b)
+            if got is not None:
+                assert all(type(c) is int for _, coeff in got for c in coeff._coeffs.values()), (a, b)
+                assert [(w, list(coeff._coeffs.items())) for w, coeff in got] == restated_rule(a, b), (a, b)
+
+    def test_normal_order_keeps_fraction_coefficients(self):
+        for seed in range(40):
+            p = seeded_poly(seed, d=3, max_degree=4)
+            for coeff in normal_order(p, 3)._terms.values():
+                assert all(type(c) is Fraction for c in coeff._coeffs.values()), p
 
 
 def reference_random_word(d, max_len, rng, min_len=1):

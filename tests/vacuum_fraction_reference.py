@@ -3,11 +3,13 @@
 The test-only reference for ``tccr.symbolic._vacuum_word``, ``vacuum_expectation``
 and ``gram_matrix``, which run the same reduction on ``int`` coefficients and
 build ``Fraction`` polynomials only for the values they return.  The bodies
-are the functional as it was written on ``Fraction`` polynomials, unchanged.
+are the functional as it was written on ``Fraction`` polynomials, unchanged,
+except that each rule's terms are ``tccr.symbolic._rule``'s, turned into
+``Fraction`` polynomials.
 """
 
 from tccr.algebra import MuPoly, NcPolynomial, Word, word_adjoint
-from tccr.symbolic import _check_indices, _content, _find_redex, _pair_replacement, gram_basis_words
+from tccr.symbolic import _check_indices, _content, _find_redex, _fractions, _rule, gram_basis_words
 
 
 def vacuum_word(word: Word, memo: dict[Word, MuPoly]) -> MuPoly:
@@ -28,7 +30,7 @@ def vacuum_word(word: Word, memo: dict[Word, MuPoly]) -> MuPoly:
             continue
         # w starts starred and ends unstarred, so it has a redex
         pos = _find_redex(w, "leftmost")
-        repl = _pair_replacement(w[pos], w[pos + 1])._terms.items()
+        repl = [(rw, _fractions(rc)) for rw, rc in _rule(w[pos], w[pos + 1])]
         children = [(w[:pos] + rw + w[pos + 2 :], rc) for rw, rc in repl]
         missing = [c for c, _ in children if value(c) is None]
         if missing:
