@@ -33,7 +33,7 @@ from .relations import (
     qccr_residuals,
     tccr_residuals,
 )
-from .report import FORMATS, Check, VerificationReport, merge_reports, round_float
+from .report import FORMATS, VerificationReport, merge_reports, round_float
 from .symbolic import (
     _add_bridge_checks,
     evaluate_mu_matrix,
@@ -346,7 +346,7 @@ def run_faithfulness(
 def _prefixed(report: VerificationReport, prefix: str) -> VerificationReport:
     out = VerificationReport(command=report.command, params=report.params)
     for c in report.checks:
-        out._append(Check._closed(prefix + c.id, c.description, c.residual, c.tolerance))
+        out.add(prefix + c.id, c.description, c.residual, c.tolerance)
     return out
 
 

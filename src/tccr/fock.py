@@ -31,12 +31,10 @@ the cap that truncation cannot leak in.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,9 +60,6 @@ DIM_LIMIT_ENV = "TCCR_DIM_LIMIT"
 # psd_sqrt: eigenvalues below -PSD_TOL raise, those below CLAMP_TOL become 0
 PSD_TOL = 1e-10
 CLAMP_TOL = 1e-12
-
-MultiIndex = tuple[int, ...]
-
 
 class CapacityError(ValueError):
     """A requested basis or table exceeds the configured size limit."""
@@ -110,30 +105,6 @@ class FockBasis:
     @property
     def dim(self) -> int:
         return (self.cap + 1) ** self.slots
-
-    def states(self) -> Iterable[MultiIndex]:
-        """All occupation tuples in index order (vacuum first)."""
-        return itertools.product(range(self.cap + 1), repeat=self.slots)
-
-    def index_of(self, state: Sequence[int]) -> int:
-        """Row/column index of an occupation tuple (mixed-radix, slot 1 most significant)."""
-        if len(state) != self.slots:
-            raise ValueError(f"state has {len(state)} entries, basis has {self.slots} slots")
-        idx = 0
-        for n in state:
-            if not 0 <= n <= self.cap:
-                raise ValueError(f"occupation {n} outside 0..{self.cap}")
-            idx = idx * (self.cap + 1) + n
-        return idx
-
-    def state_at(self, index: int) -> MultiIndex:
-        if not 0 <= index < self.dim:
-            raise ValueError(f"index {index} outside basis of dimension {self.dim}")
-        digits = []
-        for _ in range(self.slots):
-            digits.append(index % (self.cap + 1))
-            index //= self.cap + 1
-        return tuple(reversed(digits))
 
     def stride(self, slot: int) -> int:
         """Index step of one quantum in ``slot`` (0-based; slot 0 most significant)."""

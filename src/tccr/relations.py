@@ -92,7 +92,7 @@ class Relation:
             raise ValueError(f"core level must be an int >= 0, got {level!r}")
         object.__setattr__(self, "core_level", int(level))
         if self.description is None:
-            object.__setattr__(self, "description", f"{self.lhs.to_text()} = {self.rhs.to_text()}")
+            object.__setattr__(self, "description", _sides_text(self.lhs, self.rhs))
 
     @property
     def degree(self) -> int:
@@ -111,11 +111,19 @@ class RelationSet:
             raise ValueError(f"duplicate relation labels in {self.kind}")
 
     def adjoint(self) -> "RelationSet":
+        """Both sides of every relation flipped; a default text is that of the flipped sides, any other is marked."""
         flipped = tuple(
-            Relation(r.label + "/adj", r.lhs.adjoint(), r.rhs.adjoint(), r.core_level)
+            Relation(
+                r.label + "/adj", r.lhs.adjoint(), r.rhs.adjoint(), r.core_level,
+                None if r.description == _sides_text(r.lhs, r.rhs) else f"adjoint of {r.description}",
+            )
             for r in self.relations
         )
         return RelationSet(kind=self.kind + "/adj", relations=flipped)
+
+
+def _sides_text(lhs: NcPolynomial, rhs: NcPolynomial) -> str:
+    return f"{lhs.to_text()} = {rhs.to_text()}"
 
 
 def _pair(a, b) -> NcPolynomial:

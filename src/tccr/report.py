@@ -6,19 +6,19 @@ to 15 significant digits, so identical runs produce identical bytes.  The
 pass flag and the summary are recomputed from residual/tolerance on load
 rather than trusted from the file.
 
-Each check is validated once, by ``VerificationReport.add``: string id and
-description free of surrogate code points, real (non-bool) residual and
-tolerance that stay finite at 15 significant digits, unique id.  A call with
-an ASCII ``str`` id and description and ``float`` numbers passes on exact
-type tests and range compares; any other input goes through the general
-checks and their messages.  ``add`` rounds
-both numbers to those 15 digits (a tolerance object repeated from the last
-call is rounded once) and builds the ``Check`` through ``Check._closed``,
-which stores fields as given.  The public ``Check`` constructor still rounds.
-Loading goes through ``add``.  Merging and extending reports concatenate
-the already-validated checks after one set test for duplicate ids; only a
-duplicate sends them through the check-by-check append, which names the
-first one.
+Every check comes in through ``VerificationReport.add``, one sequence of
+three guards: string id and description free of surrogate code points, real
+(non-bool) residual and tolerance, and both finite at 15 significant digits.
+The first two try an exact type test first (an ASCII ``str``, a ``float``),
+and only an input that fails it meets the general test and its message.
+Ids must be unique.  ``add`` rounds both numbers to those 15 digits (a
+tolerance object repeated from the last call is rounded once) and builds the
+``Check`` through ``Check._closed``, which stores fields as given; the public
+``Check`` constructor still rounds.  Loading and prefixing a report go
+through ``add`` (a number already at 15 digits rounds to itself).  Merging
+and extending reports concatenate the already-validated checks after one set
+test for duplicate ids; only a duplicate sends them through the
+check-by-check append, which names the first one.
 
 The three writers share one pass, ``_rows``: the command and every string
 of the params, keys and values at any depth, tested free of surrogate code
@@ -123,24 +123,31 @@ class VerificationReport:
         UTF-8 nor a JSON round trip keeps), both numbers real (not bool) and finite at 15
         significant digits, and ids unique.  Every other way in relies on this one.
         """
-        if (
-            type(id) is str
-            and type(description) is str
-            and id.isascii()
-            and description.isascii()
-            and type(residual) is float
-            and type(tolerance) is float
-            and -_WRITABLE_MAX <= residual <= _WRITABLE_MAX
-            and -_WRITABLE_MAX <= tolerance <= _WRITABLE_MAX
-        ):
-            last, rounded = self._tolerance
-            if tolerance is not last:
-                rounded = float(format(tolerance, ".15g"))
-                self._tolerance = (tolerance, rounded)
-            check = Check._closed(id, description, float(format(residual, ".15g")), rounded)
-        else:
-            _validate(id, description, residual, tolerance)
-            check = Check(id, description, residual, tolerance)
+        if not (type(id) is str and type(description) is str and id.isascii() and description.isascii()):
+            if not (isinstance(id, str) and isinstance(description, str)):
+                raise ValueError(
+                    f"check {id!r} needs a string id and description, "
+                    f"not {type(id).__name__} and {type(description).__name__}"
+                )
+            if not (_is_scalar_text(id) and _is_scalar_text(description)):
+                # a lone surrogate cannot be written as UTF-8, and a pair of them in JSON reads back as one character
+                raise ValueError(
+                    f"check {id!r} has a surrogate code point (U+D800..U+DFFF) in its id or description"
+                )
+        if not (type(residual) is float and type(tolerance) is float or _is_real(residual) and _is_real(tolerance)):
+            raise ValueError(
+                f"check {id!r} needs real numbers as residual and tolerance: {residual!r}, {tolerance!r}"
+            )
+        if not (-_WRITABLE_MAX <= residual <= _WRITABLE_MAX and -_WRITABLE_MAX <= tolerance <= _WRITABLE_MAX):
+            raise ValueError(
+                f"check {id!r} has a non-finite residual or tolerance (at 15 significant digits): "
+                f"{residual}, {tolerance}"
+            )
+        last, rounded = self._tolerance
+        if tolerance is not last:
+            rounded = round_float(tolerance)
+            self._tolerance = (tolerance, rounded)
+        check = Check._closed(id, description, round_float(residual), rounded)
         self._append(check)
         return check
 
@@ -246,29 +253,6 @@ class VerificationReport:
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
         return cls.from_dict(json.loads(text, parse_constant=_reject_constant))
-
-
-def _validate(id: object, description: object, residual: object, tolerance: object) -> None:
-    """The checks of ``add`` for any input, with their messages."""
-    if not (isinstance(id, str) and isinstance(description, str)):
-        raise ValueError(
-            f"check {id!r} needs a string id and description, "
-            f"not {type(id).__name__} and {type(description).__name__}"
-        )
-    if not (_is_scalar_text(id) and _is_scalar_text(description)):
-        # a lone surrogate cannot be written as UTF-8, and a pair of them in JSON reads back as one character
-        raise ValueError(
-            f"check {id!r} has a surrogate code point (U+D800..U+DFFF) in its id or description"
-        )
-    if not (_is_real(residual) and _is_real(tolerance)):
-        raise ValueError(
-            f"check {id!r} needs real numbers as residual and tolerance: {residual!r}, {tolerance!r}"
-        )
-    if not (abs(residual) <= _WRITABLE_MAX and abs(tolerance) <= _WRITABLE_MAX):
-        raise ValueError(
-            f"check {id!r} has a non-finite residual or tolerance (at 15 significant digits): "
-            f"{residual}, {tolerance}"
-        )
 
 
 def _is_scalar_text(text: str) -> bool:

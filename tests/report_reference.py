@@ -4,9 +4,10 @@ Every call to ``ReferenceReport.add`` runs the general validation and builds
 its check through the rounding constructor; ``extend`` and
 ``reference_merge`` append one check at a time and test each id; and each
 writer sorts the checks and computes every pass flag and the summary on its
-own.  ``tccr.report`` keeps the same checks, messages and bytes with a typed
-fast path in ``add``, a closed ``Check`` constructor, one set test per
-concatenation and one sorted pass shared by the writers.
+own.  ``tccr.report`` keeps the same checks, messages and bytes with one
+sequence of guards in ``add``, each opened by an exact type test, a closed
+``Check`` constructor, one set test per concatenation and one sorted pass
+shared by the writers.
 
 One difference is intended: a check with a non-finite number, which only an
 append past ``add`` can hold, makes every writer of ``tccr.report`` raise,

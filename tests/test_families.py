@@ -113,8 +113,9 @@ class TestBuildFockTccr:
     def test_cross_slot_weight_carries_mu_factor(self):
         mu, cap = 0.7, 4
         fam = build_fock_tccr(2, mu, cap)
-        src = fam.basis.index_of((1, 0))
-        dst = fam.basis.index_of((1, 1))
+        # the indices of the occupations (1, 0) and (1, 1)
+        src = fam.basis.stride(0)
+        dst = src + fam.basis.stride(1)
         assert fam.ops[1].matrix[dst, src] == pytest.approx(mu * 1.0, abs=1e-15)
 
     def test_vacuum_annihilated_by_adjoints(self):

@@ -22,6 +22,9 @@ kernel; the d = 4 level 4 and d = 2 level 6 digests were taken before
 ``MuPoly`` arithmetic skipped re-validating its results and before one bridge
 pass per family served all of a campaign's polynomials.
 
+The CSV and Markdown digests were taken before ``add`` became one sequence
+of guards and before prefixed checks were copied through ``add``.
+
 The ``roundtrip`` digests at mu = -0.6 and mu = 0 were taken before the
 conjugation series moved from operator objects to column maps and before a
 roundtrip campaign shared one reconstruction between its roundtrip and its
@@ -63,6 +66,24 @@ def test_report_bytes_are_pinned(tmp_path, campaign):
     out = tmp_path / "report.json"
     assert main([*campaign.split(), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[campaign]
+
+
+# the CSV and Markdown writers, pinned on a word-norms and a relation-set campaign
+WRITER_GOLDEN = {
+    ("faithfulness --d 2 --cap 12 --words 1000 --max-len 6 --seed 100", "csv"):
+        "93d7e1313759ad58d671cf8ae59093f270e3d0175c0b116146ae360cee05f348",
+    ("faithfulness --d 2 --cap 12 --words 1000 --max-len 6 --seed 100", "md"):
+        "e72dd6db37f457ed716185f322661c7d0f0d53c4e1d90d62a01e3a9c45a8c193",
+    ("verify --d 3 --cap 8", "csv"): "048e63d21b5de6c1935120e3eaf82a2747726c8db0ffff19201dcdad89eb79c5",
+    ("verify --d 3 --cap 8", "md"): "29a3fdf74351a1e1aeefabcbe25aa00e9d600eddfa31afcefc772bd341aaf0e1",
+}
+
+
+@pytest.mark.parametrize("campaign,fmt", list(WRITER_GOLDEN))
+def test_csv_and_markdown_bytes_are_pinned(tmp_path, campaign, fmt):
+    out = tmp_path / f"report.{fmt}"
+    assert main([*campaign.split(), "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITER_GOLDEN[campaign, fmt]
 
 
 # campaign -> (digest of the printed matrix, digest of the bridge rows)

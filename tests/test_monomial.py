@@ -55,7 +55,7 @@ def ref_psd_sqrt(mat, clamp_tol=1e-12):
 
 
 def ref_core_residual(lhs, rhs, basis, degree):
-    mask = np.array([all(n <= basis.cap - degree for n in s) for s in basis.states()])
+    mask = np.array([all(n <= basis.cap - degree for n in s) for s in basis.occupations().tolist()])
     return float(np.linalg.norm((lhs - rhs)[:, mask], 2))
 
 

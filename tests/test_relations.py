@@ -31,7 +31,7 @@ from tccr.relations import (
     tensor_word_matrix,
     tensor_word_product,
 )
-from tccr.reconstruct import isometries_from_generators, roundtrip_check
+from tccr.reconstruct import isometries_from_generators, roundtrip_check, stage_relations
 from tccr.report import Check, VerificationReport, merge_reports
 from tccr.symbolic import NcPolynomial, evaluate_poly, evaluate_word, gen, gen_star, parse_polynomial, random_polynomial, word_norms
 from tccr.families import build_qccr_single
@@ -68,6 +68,20 @@ class TestRelationSets:
         for relset, symbol in ((tccr_relations(d), "a"), (pi_relations(d), "t"), (qccr_relations(), "a")):
             for rel in relset.relations:
                 assert rel.description == f"{rel.lhs.to_text(symbol)} = {rel.rhs.to_text(symbol)}", rel.label
+
+    def test_adjoint_flips_a_default_text_and_marks_its_own(self):
+        # the deformed relations take the default text; the PI and stage sets name their own
+        for d in (1, 2, 3):
+            sets = [(tccr_relations(d), False), (pi_relations(d), True), *((s, True) for s in stage_relations(d, 2))]
+            for relset, own in sets:
+                for rel, adj in zip(relset.relations, relset.adjoint().relations):
+                    if own:
+                        assert adj.description == f"adjoint of {rel.description}", rel.label
+                    else:
+                        assert adj.description == f"{adj.lhs.to_text()} = {adj.rhs.to_text()}", rel.label
+        assert pi_relations(2).adjoint().relations[1].description == "adjoint of t2* t2 = 1 - t1 t1*"
+        assert tccr_relations(2).adjoint().relations[2].description == "a2* a1 = mu a1 a2*"
+        assert stage_relations(2, 2)[0].adjoint().relations[0].description == "adjoint of P_1 stage(2,1) = stage(2,2)"
 
     def test_duplicate_labels_rejected(self):
         rel = Relation("same", NcPolynomial.generator(1), NcPolynomial.zero())

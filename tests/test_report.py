@@ -5,8 +5,9 @@
 is kept here as the byte reference.  ``report_reference`` keeps the
 check-by-check path (general validation and rounding on every ``add``, one
 id test per appended check, a sort and pass count per writer) as the
-differential reference of the typed fast path, the closed ``Check``
-constructor, the set test of merges and the writers' shared pass.
+differential reference of the exact type tests that open each guard of
+``add``, the closed ``Check`` constructor, the set test of merges and the
+writers' shared pass.
 """
 
 import json
@@ -197,19 +198,24 @@ class TestAddRejectsMistypedChecks:
 
 
 class TestSingleValidation:
-    @pytest.fixture
-    def parts(self, monkeypatch):
-        fam = build_fock_tccr(2, 0.5, 4)
-        built = [tccr_residuals(fam), collapse_check(2, 1, 0.0, 4)]
+    """Merging concatenates the validated checks; only a prefix copies them, through ``add``."""
 
+    @pytest.fixture
+    def parts(self):
+        fam = build_fock_tccr(2, 0.5, 4)
+        return [tccr_residuals(fam), collapse_check(2, 1, 0.0, 4)]
+
+    @pytest.fixture
+    def forbid_add(self, monkeypatch):
         def add(*args, **kwargs):
             raise RuntimeError("a validated check went through add again")
 
-        monkeypatch.setattr(VerificationReport, "add", add)
-        return built
+        return lambda: monkeypatch.setattr(VerificationReport, "add", add)
 
-    def test_prefix_and_merge_keep_the_checks(self, parts):
-        merged = merge_reports("both", {"cap": 4}, [_prefixed(p, f"p{k}/") for k, p in enumerate(parts)])
+    def test_prefix_and_merge_keep_the_checks(self, parts, forbid_add):
+        prefixed = [_prefixed(p, f"p{k}/") for k, p in enumerate(parts)]
+        forbid_add()
+        merged = merge_reports("both", {"cap": 4}, prefixed)
         expected = [
             Check(f"p{k}/{c.id}", c.description, c.residual, c.tolerance)
             for k, p in enumerate(parts)
@@ -218,16 +224,19 @@ class TestSingleValidation:
         assert merged.checks == expected
         assert merged.total == sum(p.total for p in parts) > 0
 
-    def test_repeated_id_is_rejected(self, parts):
+    def test_repeated_id_is_rejected(self, parts, forbid_add):
+        forbid_add()
         with pytest.raises(ValueError, match="duplicate"):
             merge_reports("twice", {}, [parts[0], parts[0]])
 
-    def test_id_repeated_by_the_prefix_is_rejected(self, parts):
+    def test_id_repeated_by_the_prefix_is_rejected(self, parts, forbid_add):
         first = parts[0].checks[0]
         plain = VerificationReport(command="plain")
         plain.checks.append(Check("p/" + first.id, first.description, first.residual, first.tolerance))
+        prefixed = _prefixed(parts[0], "p/")
+        forbid_add()
         with pytest.raises(ValueError, match="duplicate"):
-            merge_reports("clash", {}, [plain, _prefixed(parts[0], "p/")])
+            merge_reports("clash", {}, [plain, prefixed])
 
 
 def _result(call, *args):
@@ -327,7 +336,8 @@ class TestAgainstReference:
         monkeypatch.setattr(VerificationReport, "add", recording)
         report = run_faithfulness(2, 12, 0.0, 1000, 6, 70, 1e-8)
         monkeypatch.undo()
-        assert report.total == 4004 and len(calls) == 4004
+        # and the 4 collapse checks copied again under their j0/ and j1/ prefixes
+        assert report.total == 4004 and len(calls) == 4004 + 4
         # every raw add of the campaign, under ids made unique across its parts
         real, ref = VerificationReport("x"), ReferenceReport("x")
         for k, (id, *rest) in enumerate(calls):
