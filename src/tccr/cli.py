@@ -422,7 +422,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     run = {"verify": run_verify, "roundtrip": run_roundtrip, "irreps": run_irreps, "gram": run_gram,
            "faithfulness": run_faithfulness, "qccr": run_qccr, "demo": run_demo}[command]
     try:
-        report = run(**args, echo=print) if command == "gram" else run(**args)
+        # gram's matrix goes beside its report: on stderr when the report takes stdout
+        echo = (lambda line: print(line, file=sys.stderr)) if out in (None, "-") else print
+        report = run(**args, echo=echo) if command == "gram" else run(**args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

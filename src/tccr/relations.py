@@ -1,8 +1,13 @@
 """Declarative relation sets and the checks built on them.
 
-The two relation families are expressed once as exact formal polynomials and
-measured as core residuals against operator families, so every check in a
-report names the identity it measures.  A relation set is measured with one
+The deformed relations are not written here: ``tccr_relations`` reads
+R1-R3 from the Z[mu] rule table ``tccr.symbolic._rule``, the table that the
+normal-ordering engine and the vacuum functional rewrite with, taking the
+replacement terms of each left side as its right side.  ``pi_relations`` is
+that set at mu = 0, each coefficient cut to its exact constant term, so the
+partial-isometry relations are the same table's mu = 0 case.  Each relation
+is measured as a core residual against an operator family, so every check in
+a report names the identity it measures.  A relation set is measured with one
 pass of the suffix-shared word kernel per core level, over the core columns
 only, whatever the relations; a false relation whose difference is not
 monomial is measured densely per block of the core it connects.  ``tccr_relations``
@@ -38,6 +43,7 @@ from .report import VerificationReport
 from .symbolic import (
     _SuffixPlans,
     _check_indices,
+    _rule,
     _word_levels,
     _word_norms_each,
     MuPoly,
@@ -122,8 +128,8 @@ class RelationSet:
         return RelationSet(kind=self.kind + "/adj", relations=flipped)
 
 
-def _sides_text(lhs: NcPolynomial, rhs: NcPolynomial) -> str:
-    return f"{lhs.to_text()} = {rhs.to_text()}"
+def _sides_text(lhs: NcPolynomial, rhs: NcPolynomial, symbol: str = "a") -> str:
+    return f"{lhs.to_text(symbol)} = {rhs.to_text(symbol)}"
 
 
 def _pair(a, b) -> NcPolynomial:
@@ -132,63 +138,30 @@ def _pair(a, b) -> NcPolynomial:
 
 @functools.lru_cache(maxsize=8, typed=True)
 def tccr_relations(d: int) -> RelationSet:
-    """The deformed relations: diagonal, twisted commutation, and ordering."""
+    """The deformed relations R1-R3 as the rule table rewrites their left sides: diagonal, twist and order.
+
+    R4 is left out: it is the adjoint of R3.
+    """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    mu = MuPoly.mu(1)
-    mu2 = MuPoly.mu(2)
-    one_minus_mu2 = MuPoly({0: 1, 2: -1})
-    rels: list[Relation] = []
-    for i in range(1, d + 1):
-        rhs = NcPolynomial.one() + _pair(gen(i), gen_star(i)) * mu2
-        for k in range(1, i):
-            rhs = rhs - _pair(gen(k), gen_star(k)) * one_minus_mu2
-        rels.append(Relation(f"diag/i{i}", _pair(gen_star(i), gen(i)), rhs))
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            if i == j:
-                continue
-            rels.append(
-                Relation(
-                    f"twist/i{i}j{j}",
-                    _pair(gen_star(i), gen(j)),
-                    _pair(gen(j), gen_star(i)) * mu,
-                )
-            )
-    for j in range(2, d + 1):
-        for i in range(1, j):
-            rels.append(
-                Relation(
-                    f"order/j{j}i{i}",
-                    _pair(gen(j), gen(i)),
-                    _pair(gen(i), gen(j)) * mu,
-                )
-            )
-    return RelationSet(kind=f"TCCR(mu,{d})", relations=tuple(rels))
+    indices = range(1, d + 1)
+    lefts = [
+        *((f"diag/i{i}", gen_star(i), gen(i)) for i in indices),
+        *((f"twist/i{i}j{j}", gen_star(i), gen(j)) for i in indices for j in indices if i != j),
+        *((f"order/j{j}i{i}", gen(j), gen(i)) for j in indices for i in range(1, j)),
+    ]
+    rels = tuple(Relation(label, _pair(a, b), NcPolynomial(dict(_rule(a, b)))) for label, a, b in lefts)
+    return RelationSet(kind=f"TCCR(mu,{d})", relations=rels)
 
 
 @functools.lru_cache(maxsize=8, typed=True)
 def pi_relations(d: int) -> RelationSet:
-    """The partial-isometry relations: t_i* t_j diagonal/cross plus lower products."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    rels: list[Relation] = []
-
-    def add(label: str, lhs: NcPolynomial, rhs: NcPolynomial) -> None:
-        rels.append(Relation(label, lhs, rhs, description=f"{lhs.to_text('t')} = {rhs.to_text('t')}"))
-
-    for i in range(1, d + 1):
-        rhs = NcPolynomial.one()
-        for k in range(1, i):
-            rhs = rhs - _pair(gen(k), gen_star(k))
-        add(f"diag/i{i}", _pair(gen_star(i), gen(i)), rhs)
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            if i != j:
-                add(f"cross/i{i}j{j}", _pair(gen_star(i), gen(j)), NcPolynomial.zero())
-    for j in range(2, d + 1):
-        for i in range(1, j):
-            add(f"order/j{j}i{i}", _pair(gen(j), gen(i)), NcPolynomial.zero())
+    """The partial-isometry relations: TCCR(mu, d) at mu = 0, each coefficient cut to its exact constant term."""
+    rels = []
+    for rel in tccr_relations(d).relations:
+        rhs = NcPolynomial({w: MuPoly.const(dict(c.items()).get(0, 0)) for w, c in rel.rhs.terms()})
+        label = rel.label.replace("twist/", "cross/")
+        rels.append(Relation(label, rel.lhs, rhs, description=_sides_text(rel.lhs, rhs, "t")))
     return RelationSet(kind=f"PI({d})", relations=tuple(rels))
 
 

@@ -25,10 +25,10 @@ index's charge #x_i - #x_i*, so a word of nonzero charge has value 0; (2) a
 word that starts unstarred keeps an unstarred first letter through every
 rewrite, so it never reaches the empty word; (3) likewise a word that ends
 starred.  Every coefficient of R1-R4 (1, mu, mu^2 and -(1 - mu^2)) lies in
-Z[mu], so ``_rule`` states them once on ``int`` coefficients, and every
-word's value lies in Z[mu] too: the functional runs the ``MuPoly``
-arithmetic on ``int`` coefficients and builds ``Fraction`` polynomials only
-for the values it returns.
+Z[mu]; ``_rule`` states them once, on ``int``s, for the engine, the functional
+and the TCCR and PI sets of ``tccr.relations`` (PI is the mu = 0 case).
+Each word's vacuum value lies in Z[mu] too: the functional runs on ``int``
+coefficients and builds ``Fraction`` polynomials only for what it returns.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ _STRATEGIES = ("leftmost", "rightmost")
 
 @functools.lru_cache(maxsize=1024)
 def _rule(a: Letter, b: Letter) -> tuple[tuple[Word, MuPoly], ...] | None:
-    """The replacement terms of ``a b`` under R1-R4, or None when ``a b`` may stand in a normal word."""
+    """Terms replacing ``a b`` under R1-R4, or None if ``a b`` is normal; the TCCR and PI sets read them too."""
     if a.starred and not b.starred:
         if a.index != b.index:  # R2
             return (((b, a), _INT_MU),)

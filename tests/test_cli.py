@@ -344,21 +344,32 @@ class TestSubcommands:
         assert phases == pytest.approx([0.0, math.pi / 2, 2 * math.pi / 3], abs=1e-13)
 
     def test_gram_prints_exact_polynomials(self, capsys):
-        code, out, _ = run(capsys, "gram", "--d", "1", "--level", "2", "--bridge-count", "2")
+        code, _, err = run(capsys, "gram", "--d", "1", "--level", "2", "--bridge-count", "2")
         assert code == 0
-        text = out[: out.index("{")]
-        assert "1 + mu^2" in text
-        assert "<a1 a1>" in text
+        assert "1 + mu^2" in err
+        assert "<a1 a1>" in err
+
+    @pytest.mark.parametrize("level, bridges", [("1", "1"), ("2", "3")])
+    def test_gram_report_on_stdout_parses_and_its_matrix_goes_to_stderr(self, capsys, tmp_path, level, bridges):
+        argv = ["gram", "--d", "1", "--level", level, "--bridge-count", bridges]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        json.loads(out)
+        assert run(capsys, *argv, "--out", "-") == (code, out, err)
+        # with a report file the matrix stays on stdout, the lines stderr held without one
+        target = tmp_path / "report.json"
+        assert run(capsys, *argv, "--out", str(target)) == (0, err, "")
+        assert target.read_text() == out
 
     def test_gram_at_the_top_level(self, capsys):
         code, out, _ = run(capsys, "gram", "--d", "2", "--level", "6", "--cap", "6", "--bridge-count", "2")
         assert code == 0
-        assert json.loads(out[out.index("{"):])["params"]["level"] == 6
+        assert json.loads(out)["params"]["level"] == 6
 
     def test_gram_report_checks(self, capsys):
         code, out, _ = run(capsys, "gram", "--d", "2", "--level", "2", "--bridge-count", "3")
         assert code == 0
-        doc = json.loads(out[out.index("{"):])
+        doc = json.loads(out)
         ids = {c["id"] for c in doc["checks"]}
         assert any(i.startswith("positivity/") for i in ids)
         assert any(i.startswith("bridge/") for i in ids)

@@ -36,6 +36,7 @@ from tccr.report import Check, VerificationReport, merge_reports
 from tccr.symbolic import NcPolynomial, evaluate_poly, evaluate_word, gen, gen_star, parse_polynomial, random_polynomial, word_norms
 from tccr.families import build_qccr_single
 
+import relation_sets_reference
 from kron_reference import defect_matrix, shift_matrix, tensor_word_kron
 from test_monomial import ref_core_residual
 
@@ -87,6 +88,82 @@ class TestRelationSets:
         rel = Relation("same", NcPolynomial.generator(1), NcPolynomial.zero())
         with pytest.raises(ValueError, match="duplicate"):
             RelationSet(kind="broken", relations=(rel, rel))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_sets_read_from_the_rule_table_match_the_written_out_reference(self, d):
+        for built, written in ((tccr_relations(d), relation_sets_reference.tccr_relations(d)),
+                               (pi_relations(d), relation_sets_reference.pi_relations(d))):
+            assert built.kind == written.kind
+            fields = lambda r: (r.label, r.lhs, r.rhs, r.core_level, r.description)
+            # MuPoly equality compares coefficients as values: the table's ints equal the reference's Fractions
+            assert [fields(r) for r in built.relations] == [fields(r) for r in written.relations]
+
+    @pytest.mark.parametrize("builder", [tccr_relations, pi_relations])
+    def test_no_set_below_one_generator(self, builder):
+        with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+            builder(0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_the_ordering_relation_is_one_sided(self, d):
+        # PI(d) holds t_j t_i = 0 only for j > i: in the vacuum-cyclic class t_i t_j is a partial isometry
+        fock = build_irrep(IrrepSpec(d=d, class_j=d, cap=6))
+        for i in range(1, d + 1):
+            for j in range(i + 1, d + 1):
+                assert operator_norm(evaluate_word(fock, (gen(i), gen(j)))) == pytest.approx(1.0, abs=1e-12)
+                assert operator_norm(evaluate_word(fock, (gen(j), gen(i)))) == 0.0
+        assert {r.label for r in pi_relations(d).relations if r.label.startswith("order/")} == {
+            f"order/j{j}i{i}" for j in range(2, d + 1) for i in range(1, j)
+        }
+
+
+def _seeded_rule(r1_weight=tccr.symbolic._INT_MU2, r2_weight=tccr.symbolic._INT_MU):
+    """``_rule`` with R1's weight of x_i x_i* or R2's weight replaced."""
+    real = tccr.symbolic._rule
+
+    def rule(a, b):
+        terms = real(a, b)
+        if terms is None or not a.starred or b.starred:
+            return terms
+        if a.index != b.index:  # R2
+            return ((terms[0][0], r2_weight),)
+        square = (gen(a.index), gen_star(a.index))
+        return tuple((w, r1_weight if w == square else c) for w, c in terms)
+
+    return rule
+
+
+class TestSeededRuleTypos:
+    """A wrong weight in the rule table fails the measured relation checks, since the sets are read from it."""
+
+    @pytest.fixture
+    def fresh_sets(self):
+        for builder in (tccr_relations, pi_relations):
+            builder.cache_clear()
+        yield
+        for builder in (tccr_relations, pi_relations):
+            builder.cache_clear()
+
+    @pytest.mark.parametrize(
+        "rule, failing",
+        [
+            (_seeded_rule(r1_weight=tccr.symbolic._INT_MU), {"tccr/diag/i1", "tccr/diag/i2"}),
+            (_seeded_rule(r2_weight=tccr.symbolic._INT_MU2), {"tccr/twist/i1j2", "tccr/twist/i2j1"}),
+        ],
+        ids=["r1-mu-for-mu2", "r2-mu2-for-mu"],
+    )
+    def test_verify_fails_and_roundtrip_stops_at_its_gate(self, monkeypatch, tmp_path, capsys, fresh_sets, rule, failing):
+        for module in (tccr.symbolic, relations):
+            monkeypatch.setattr(module, "_rule", rule)
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--d", "2", "--cap", "6", "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        assert {c["id"] for c in checks if not c["pass"]} == failing
+        capsys.readouterr()
+        assert main(["roundtrip", "--d", "2", "--mu", "0.5", "--cap", "6", "--out", str(tmp_path / "rt.json")]) == 2
+        # the gate of isometries_from_generators: the deformed family fails the same relations
+        err = capsys.readouterr().err
+        assert err.startswith("error: input family violates the deformed relations: ")
+        assert {part.split(":")[0] for part in err.split(": ", 2)[2].split(", ")} == failing
 
 
 class TestTccrResiduals:
