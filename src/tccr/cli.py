@@ -401,13 +401,14 @@ def emit_report(report: VerificationReport, fmt: str, out: str | None) -> int:
     if fmt not in FORMATS:
         print(f"unknown format {fmt!r}", file=sys.stderr)
         return 2
-    rendered, all_passed = report.render(fmt)
+    # validated before --out is opened
+    pieces, all_passed = report.stream(fmt)
     if out is None or out == "-":
-        sys.stdout.write(rendered)
+        sys.stdout.writelines(pieces)
     else:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
+                fh.writelines(pieces)
         except OSError as exc:
             print(f"cannot write report to {out}: {exc}", file=sys.stderr)
             return 2

@@ -72,7 +72,7 @@ class IrrepSpec:
 
 
 class _LetterTables:
-    """Letter tables of a family of generators ``ops``, built on first use."""
+    """Letter tables of a family of generators ``ops``, built on first use; the word norms read ``norm_tables``."""
 
     @functools.cached_property
     def letter_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -81,12 +81,26 @@ class _LetterTables:
         Column c of letter k holds ``vals[k, c]`` in row ``rows[k, c]``, and the last column is
         a dead entry (-1, 0); a letter's column form is its adjoint's row form, conjugated.
         """
+        return self._column_forms(complex)
+
+    @functools.cached_property
+    def norm_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``letter_tables`` in ``float64`` if no value has a nonzero imaginary part, for the word norms.
+
+        The real part of (a + 0i)(c + 0i) rounds as ac, and |x + 0i| = |x|, so the norms keep their bits.
+        """
+        if any(op.monomial.vals.imag.any() for op in self.ops):
+            return self.letter_tables
+        return self._column_forms(float)
+
+    def _column_forms(self, dtype: type) -> tuple[np.ndarray, np.ndarray]:
         dim = self.basis.dim
         rows = np.full((2 * len(self.ops), dim + 1), -1, dtype=np.intp)
-        vals = np.zeros(rows.shape, dtype=complex)
+        vals = np.zeros(rows.shape, dtype=dtype)
         for k, op in enumerate(self.ops):
             for code, mono in ((2 * k, op.adjoint().monomial), (2 * k + 1, op.monomial)):
-                rows[code, :dim], vals[code, :dim] = mono.cols, mono.vals.conj()
+                rows[code, :dim] = mono.cols
+                vals[code, :dim] = mono.vals.conj() if dtype is complex else mono.vals.real
         return rows, vals
 
 

@@ -20,23 +20,23 @@ and extending reports concatenate the already-validated checks after one set
 test for duplicate ids; only a duplicate sends them through the
 check-by-check append, which names the first one.
 
-The three writers share one pass, ``_rows``: the command and every string
-of the params, keys and values at any depth, tested free of surrogate code
-points (``add`` never sees them), the checks sorted by id, each tested
-finite (a check appended to ``checks`` directly, past ``add``, may not be),
-and their pass flags, whose sum is the summary and, through ``render``, the
-exit status of ``tccr.cli.emit_report``.  ``to_json`` writes each check
-from one fixed template (strings through the C string encoder of ``json``,
-floats as ``repr``) instead of running the pure-Python encoder that
-``indent`` selects.  Its bytes are those of
-``json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)``
-plus a newline, which the tests keep as the reference.
+Reports are validated, then streamed.  ``_rows`` tests the command and
+every string of the params (``add`` never sees them) and every check, sorted
+by id (one appended to ``checks`` past ``add`` may be non-finite or hold a
+surrogate code point); the pass flags sum to the summary and set the exit
+status of ``tccr.cli.emit_report``.  Each writer yields a head, one piece
+per check and a tail; ``stream`` makes the head before it returns, and
+``emit_report`` opens ``--out`` only then, so a report that cannot be
+written leaves an existing file as it was.  ``render`` and the ``to_*``
+methods join the same pieces.  ``to_json`` fills one template per check
+(strings through ``json``'s C string encoder, floats as ``repr``) with the
+bytes of ``json.dumps(report.to_dict(), sort_keys=True, indent=2,
+allow_nan=False)`` and a newline, which the tests keep as the reference.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 import json
 import math
 import numbers
@@ -44,7 +44,7 @@ import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 __all__ = ["FORMATS", "Check", "VerificationReport", "merge_reports", "round_float"]
 
@@ -224,23 +224,31 @@ class VerificationReport:
                 raise ValueError(
                     f"check {c.id!r} has a non-finite residual or tolerance: {c.residual}, {c.tolerance}"
                 )
+            if not (c.id.isascii() and c.description.isascii() or _is_scalar_text(c.id + c.description)):
+                raise ValueError(f"check {c.id!r} has a surrogate code point (U+D800..U+DFFF) in its id or description")
             flags.append(c.passed)
         return rows, flags
 
+    def stream(self, fmt: str) -> tuple[Iterator[str], bool]:
+        """The pieces of the report in ``fmt`` and whether every check passed; an unwritable report raises here."""
+        rows, flags = self._rows()
+        pieces = _WRITERS[fmt](self, rows, flags)
+        return itertools.chain([next(pieces)], pieces), all(flags)
+
     def render(self, fmt: str) -> tuple[str, bool]:
         """The report written in ``fmt`` (one of ``FORMATS``) and whether every check passed."""
-        rows, flags = self._rows()
-        return _WRITERS[fmt](self, rows, flags), all(flags)
+        pieces, all_passed = self.stream(fmt)
+        return "".join(pieces), all_passed
 
     def to_json(self) -> str:
         """The bytes of ``json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False)`` and a newline."""
-        return _json(self, *self._rows())
+        return self.render("json")[0]
 
     def to_csv(self) -> str:
-        return _csv(self, *self._rows())
+        return self.render("csv")[0]
 
     def to_markdown(self) -> str:
-        return _markdown(self, *self._rows())
+        return self.render("md")[0]
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "VerificationReport":
@@ -277,7 +285,7 @@ def _is_real(x: object) -> bool:
     return isinstance(x, (float, int, numbers.Real)) and not isinstance(x, bool)
 
 
-def _json(report: VerificationReport, rows: list[Check], flags: list[bool]) -> str:
+def _json(report: VerificationReport, rows: list[Check], flags: list[bool]) -> Iterator[str]:
     head = json.dumps(
         {
             "command": report.command,
@@ -288,48 +296,49 @@ def _json(report: VerificationReport, rows: list[Check], flags: list[bool]) -> s
         indent=2,
         allow_nan=False,
     )
-    # each element of the indent-2 "checks" array, keys in sorted order
-    checks = [
-        "    {\n"
-        f'      "description": {encode_basestring_ascii(c.description)},\n'
-        f'      "id": {encode_basestring_ascii(c.id)},\n'
-        f'      "pass": {"true" if passed else "false"},\n'
-        f'      "residual": {c.residual!r},\n'
-        f'      "tolerance": {c.tolerance!r}\n'
-        "    }"
-        for c, passed in zip(rows, flags)
-    ]
-    listed = "[\n" + ",\n".join(checks) + "\n  ]" if checks else "[]"
     # "checks" sorts before every other top-level key, so it opens the object
-    return '{\n  "checks": ' + listed + ",\n" + head[2:] + "\n"
+    yield '{\n  "checks": ' + ("[" if rows else "[]")
+    separator = "\n"
+    for c, passed in zip(rows, flags):
+        # one element of the indent-2 "checks" array, keys in sorted order
+        yield (
+            f"{separator}    {{\n"
+            f'      "description": {encode_basestring_ascii(c.description)},\n'
+            f'      "id": {encode_basestring_ascii(c.id)},\n'
+            f'      "pass": {"true" if passed else "false"},\n'
+            f'      "residual": {c.residual!r},\n'
+            f'      "tolerance": {c.tolerance!r}\n'
+            "    }"
+        )
+        separator = ",\n"
+    yield ("\n  ]" if rows else "") + ",\n" + head[2:] + "\n"
 
 
-def _csv(report: VerificationReport, rows: list[Check], flags: list[bool]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "description", "residual", "tolerance", "pass"])
-    writer.writerows(
-        [c.id, c.description, repr(c.residual), repr(c.tolerance), "true" if passed else "false"]
-        for c, passed in zip(rows, flags)
+class _Echo:
+    """A file whose ``write`` returns its text, so ``csv.writer.writerow`` returns the line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _csv(report: VerificationReport, rows: list[Check], flags: list[bool]) -> Iterator[str]:
+    import csv  # here, so a campaign that writes JSON or Markdown never imports it
+
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    yield writer.writerow(["id", "description", "residual", "tolerance", "pass"])
+    for c, passed in zip(rows, flags):
+        yield writer.writerow([c.id, c.description, repr(c.residual), repr(c.tolerance), "true" if passed else "false"])
+
+
+def _markdown(report: VerificationReport, rows: list[Check], flags: list[bool]) -> Iterator[str]:
+    params = json.dumps(_canonical_params(report.params), sort_keys=True, allow_nan=False)
+    yield (
+        f"# {report.command}\n\nparams: {params}\n\n"
+        "| id | description | residual | tolerance | pass |\n|---|---|---|---|---|\n"
     )
-    return buf.getvalue()
-
-
-def _markdown(report: VerificationReport, rows: list[Check], flags: list[bool]) -> str:
-    lines = [
-        f"# {report.command}",
-        "",
-        "params: " + json.dumps(_canonical_params(report.params), sort_keys=True, allow_nan=False),
-        "",
-        "| id | description | residual | tolerance | pass |",
-        "|---|---|---|---|---|",
-    ]
-    lines += [
-        f"| {c.id} | {c.description} | {c.residual:.3e} | {c.tolerance:.3e} | {'pass' if passed else 'FAIL'} |"
-        for c, passed in zip(rows, flags)
-    ]
-    lines += ["", f"summary: {sum(flags)}/{len(rows)} passed", ""]
-    return "\n".join(lines)
+    for c, passed in zip(rows, flags):
+        yield f"| {c.id} | {c.description} | {c.residual:.3e} | {c.tolerance:.3e} | {'pass' if passed else 'FAIL'} |\n"
+    yield f"\nsummary: {sum(flags)}/{len(rows)} passed\n"
 
 
 _WRITERS = {"json": _json, "csv": _csv, "md": _markdown}

@@ -425,6 +425,8 @@ class _SuffixPlans:
         self._blocks: dict[int, list[list[_Level]]] = {}
 
     def blocks(self, d: int, columns: int) -> list[list[_Level]]:
+        if columns < 1:
+            raise ValueError("the core is empty: no basis column to evaluate the words on")
         if d not in self._checked:
             _check_indices(self.words, d)
             self._checked.add(d)
@@ -435,7 +437,15 @@ class _SuffixPlans:
         return self._blocks[size]
 
 
-def _word_levels(family, plans: _SuffixPlans, columns: np.ndarray, read: Callable[..., None]) -> None:
+def _times(letters: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    # a real product rounds once either way; numpy's in-place loop for a lone complex entry
+    # rounds without the fused multiply-add of its vector loop, so that one is out of place
+    return np.multiply(letters, vals, out=letters) if letters.dtype == np.float64 else letters * vals
+
+
+def _word_levels(
+    family, plans: _SuffixPlans, columns: np.ndarray, read: Callable[..., None], tables: tuple | None = None
+) -> None:
     """Products of distinct suffixes over the letter tables, each one gather into its parent.
 
     Calls ``read(rows, vals, ends, nodes)`` for each level where words end:
@@ -445,12 +455,13 @@ def _word_levels(family, plans: _SuffixPlans, columns: np.ndarray, read: Callabl
     the next one no longer needs it.  Every product runs ``L1 (L2 (.. (Ln 1)))``
     as it would for its word alone, and each column's gathers and products are
     independent of the others, so a subset of columns holds the same bits as
-    those columns of the full product.
+    those columns of the full product.  ``tables`` defaults to the family's
+    ``letter_tables``, and sets the dtype of ``vals``.
     """
     dim = family.basis.dim
-    table_rows, table_vals = (t.ravel() for t in family.letter_tables)
+    table_rows, table_vals = (t.ravel() for t in (family.letter_tables if tables is None else tables))
     for block in plans.blocks(len(family.ops), len(columns)):
-        rows, vals = columns[None, :], np.ones((1, len(columns)), dtype=complex)
+        rows, vals = columns[None, :], np.ones((1, len(columns)), dtype=table_vals.dtype)
         for k, (codes, parents, ends, nodes) in enumerate(block):
             if k:
                 # row -1 lands on the dead entry (-1, 0) ending the previous table row (the last, for code 0)
@@ -462,8 +473,8 @@ def _word_levels(family, plans: _SuffixPlans, columns: np.ndarray, read: Callabl
                     at, vals = rows[parents], vals[parents]
                     at += offsets
                 rows = table_rows[at]
-                # out of place: numpy's in-place loop for a lone entry rounds without the fused multiply-add
-                vals = table_vals[at] * vals
+                vals = _times(table_vals[at], vals)
+                del at  # freed before read and the next level
             if ends is not None:
                 read(rows, vals, ends, nodes)
 
@@ -490,7 +501,7 @@ def _word_norms_each(families: Iterable, words: Sequence[Word]) -> Iterator[np.n
     """Operator norms of every word in each family in turn, all from one suffix plan.
 
     A word's norm is its product's largest entry modulus, read from one norm per
-    node of the level where the word ends.
+    node of the level where the word ends, over the family's ``norm_tables``.
     """
     plans = _SuffixPlans(words)
     for family in families:
@@ -501,7 +512,7 @@ def _word_norms_each(families: Iterable, words: Sequence[Word]) -> Iterator[np.n
             moduli = np.abs(vals, out=np.zeros(rows.shape), where=rows >= 0)
             norms[ends] = moduli.max(axis=1)[nodes]
 
-        _word_levels(family, plans, np.arange(family.basis.dim), read)
+        _word_levels(family, plans, np.arange(family.basis.dim), read, family.norm_tables)
         _require_finite(norms)
         yield norms
 

@@ -13,6 +13,7 @@ writers' shared pass.
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, astuple, replace
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from tccr.cli import _prefixed, emit_report, run_faithfulness
 from tccr.families import build_fock_tccr
 from tccr.relations import collapse_check, tccr_residuals
-from tccr.report import _WRITABLE_MAX, Check, VerificationReport, merge_reports, round_float
+from tccr.report import _WRITABLE_MAX, FORMATS, Check, VerificationReport, merge_reports, round_float
 
 from report_reference import ReferenceCheck, ReferenceReport, reference_merge
 
@@ -174,6 +175,65 @@ class TestWriter:
             written = _result(getattr(report, writer))
             want = written if isinstance(written, tuple) else (written, report.all_passed)
             assert _result(report.render, fmt) == want
+
+
+def large_report(checks=4000):
+    report = VerificationReport(command="large", params={"checks": checks, "tol": 1e-8})
+    for k in range(checks):
+        word = f"t1 t2* t{1 + k % 2} t1* t2 t{1 + k % 3}*"
+        report.add(f"dominate/w{k:04d}/j1", f"norm_1({word}) <= norm_fock({word})", k * -1e-17, 1e-8)
+    return report
+
+
+class TestEmitReport:
+    """``emit_report`` validates the whole report before it opens ``--out``, then streams it."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("bad, message", [
+        (Check("zz/bad", "appended past add", math.inf, 1.0), "check 'zz/bad' has a non-finite residual or tolerance"),
+        # UTF-8 cannot encode a lone surrogate, so no file could hold the Markdown or CSV text
+        (Check("zz/bad", "appended \udfff past add", 0.0, 1.0), "check 'zz/bad' has a surrogate code point"),
+    ])
+    def test_unwritable_check_leaves_an_existing_file_untouched(self, tmp_path, fmt, bad, message):
+        path = tmp_path / f"report.{fmt}"
+        path.write_bytes(b"an earlier report\n")
+        report = large_report(50)
+        report.checks.append(bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            emit_report(report, fmt, str(path))
+        assert path.read_bytes() == b"an earlier report\n"
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_directory_as_out_exits_2(self, tmp_path, capsys, fmt):
+        assert emit_report(large_report(3), fmt, str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(f"cannot write report to {tmp_path}: ")
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_written_file_and_stdout_are_the_rendered_report(self, tmp_path, capsys, fmt):
+        report = large_report(200)
+        path = tmp_path / f"report.{fmt}"
+        assert emit_report(report, fmt, str(path)) == 0
+        assert emit_report(report, fmt, None) == 0
+        rendered = report.render(fmt)[0]
+        assert path.read_text(encoding="utf-8") == capsys.readouterr().out == rendered
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_streamed_report_allocates_far_less_than_its_text(self, tmp_path, fmt):
+        sizes, peaks = [], []
+        for checks in (1000, 4000):
+            report = large_report(checks)
+            sizes.append(len(report.render(fmt)[0]))
+            path = tmp_path / f"report-{checks}.{fmt}"
+            tracemalloc.start()
+            try:
+                assert emit_report(report, fmt, str(path)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert path.stat().st_size == sizes[-1]
+        # rendering first held the text and its pieces at once, 2.7 to 4.4 times its size; streamed, only
+        # the sorted checks and their pass flags grow with the report, besides the csv module's 128 KiB buffer
+        assert peaks[1] < sizes[1] and peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4, (peaks, sizes)
 
 
 class TestAddRejectsMistypedChecks:

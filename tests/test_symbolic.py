@@ -16,7 +16,7 @@ import tccr.algebra
 import tccr.families
 import tccr.symbolic
 from tccr.cli import run_gram
-from tccr.families import IrrepSpec, TccrFamily, build_fock_tccr, build_irrep
+from tccr.families import GeneratorFamily, IrrepSpec, TccrFamily, build_fock_tccr, build_irrep
 from tccr.fock import (
     CapacityError,
     LinearOperator,
@@ -47,6 +47,7 @@ from tccr.symbolic import (
     word_adjoint,
     word_norms,
 )
+from tccr.reconstruct import generators_from_isometries
 from tccr.report import VerificationReport
 from tccr.symbolic import _word_norms_each
 
@@ -870,6 +871,16 @@ class TestWordKernel:
         assert word_norms(fam, [(), ()]).tolist() == [1.0, 1.0]
         assert word_norms(fam, []).shape == (0,)
 
+    @pytest.mark.parametrize("words", [[(gen(1),)], []])
+    def test_empty_column_set_is_an_empty_core(self, words):
+        fam = build_fock_tccr(2, 0.5, 4)
+
+        def read(*args):
+            raise AssertionError("no level on an empty core")
+
+        with pytest.raises(ValueError, match="the core is empty"):
+            tccr.symbolic._word_levels(fam, tccr.symbolic._SuffixPlans(words), np.array([], dtype=np.intp), read)
+
     def test_each_call_builds_a_new_operator(self):
         fam = build_fock_tccr(2, 0.5, 4)
         w = (gen_star(1), gen(2), gen(1))
@@ -973,7 +984,7 @@ class TestWordKernel:
 
     def test_word_norms_memory_is_bounded_by_the_blocks(self):
         fam = build_irrep(IrrepSpec(5, 5, 6))  # dim 16807: 62 words per block
-        fam.letter_tables  # family state, built before the measured call
+        fam.norm_tables  # family state, built before the measured call
         scalar = build_irrep(IrrepSpec(5, 0, 6))  # dim 7: all 100 words in one block
         words = [random_word(5, 12, random.Random(f"memory:{k}")) for k in range(100)]
         peaks = []
@@ -985,9 +996,75 @@ class TestWordKernel:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # the padded kernel peaked at 55.8 MB on these words; without blocks this kernel needs 65 MB,
-        # and so does a plan shared with a family whose blocks are larger
-        assert max(peaks) < 56 * 2**20, [peak / 2**20 for peak in peaks]
+        # on complex tables the padded kernel peaked at 55.8 MB on these words and this kernel without blocks
+        # at 65 MB; on this family's float64 tables the kernel peaks at 23.2 MB, and without blocks it needs
+        # 38.1 MB, and so does a plan shared with a family whose blocks are larger
+        assert max(peaks) < 30 * 2**20, [peak / 2**20 for peak in peaks]
+
+
+def stage_family():
+    """The letters of ``verify_stage_identities``: t_1, t_2 and the stages and defects of their reconstruction."""
+    t = build_irrep(IrrepSpec(2, 2, 4))
+    _, trace = generators_from_isometries(t, 0.5)
+    stages = (trace.stages[ij] for ij in sorted(trace.stages))
+    return GeneratorFamily(basis=t.basis, ops=(*t.ops, *stages, *trace.defects))
+
+
+def norm_families():
+    """Families and whether their values are all real: exp(i pi) keeps an imaginary part of 1.2e-16."""
+    for mu in (-0.6, 0.5):
+        yield pytest.param(lambda mu=mu: build_fock_tccr(3, mu, 4), True, id=f"fock-mu{mu}")
+    for j in range(3):
+        for phase, real in ((0.0, True), (math.pi / 3, False), (math.pi, False)):
+            yield pytest.param(lambda j=j, phase=phase: build_irrep(IrrepSpec(3, j, 4, phase)), real,
+                               id=f"j{j}-phi{phase:.2f}")
+    yield pytest.param(stage_family, True, id="stages")
+
+
+class TestRealWordNorms:
+    """Word norms on float64 letter tables against the padded complex kernel, bit for bit."""
+
+    @pytest.mark.parametrize("make, real", norm_families())
+    def test_norms_match_the_padded_kernel(self, monkeypatch, make, real):
+        fam = make()
+        assert all(not np.any(op.monomial.vals.imag) for op in fam.ops) == real
+        words = kernel_words(fam.d)
+        want = padded_word_norms(fam, words)
+        got = word_norms(fam, words)
+        assert got.tobytes() == want.tobytes() and got.any()
+        rows, vals = fam.norm_tables
+        assert vals.dtype == (np.float64 if real else np.complex128)
+        # a real family never builds its complex tables; a complex one shares them
+        assert ("letter_tables" in vars(fam)) != real
+        if real:
+            assert np.array_equal(rows, fam.letter_tables[0]) and np.array_equal(vals, fam.letter_tables[1].real)
+        else:
+            assert fam.norm_tables is fam.letter_tables
+        # blocks of two words split the shared suffixes and run the in-place product on small levels
+        monkeypatch.setattr(tccr.symbolic, "_WORD_BLOCK_ENTRIES", 2 * fam.basis.dim)
+        assert word_norms(fam, words).tobytes() == want.tobytes()
+
+    def test_one_plan_over_real_and_complex_families(self):
+        families = [build_irrep(IrrepSpec(3, j, 4, phase)) for j in range(3) for phase in (0.0, math.pi / 3)]
+        words = kernel_words(3)
+        for fam, norms in zip(families, _word_norms_each(families, words)):
+            assert norms.tobytes() == padded_word_norms(fam, words).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("phase", [0.0, math.pi / 3])
+    def test_injected_non_finite_value_raises(self, bad, phase):
+        fam = build_irrep(IrrepSpec(3, 2, 4, phase))
+        mono = fam.ops[0].monomial
+        vals = mono.vals.copy()
+        vals[np.flatnonzero(mono.cols >= 0)[1]] = bad
+        ops = (LinearOperator(fam.basis, Monomial(mono.cols, vals)), *fam.ops[1:])
+        broken = GeneratorFamily(basis=fam.basis, ops=ops)
+        assert (broken.norm_tables[1].dtype == np.float64) == (phase == 0.0)
+        words = kernel_words(3)
+        assert not np.isfinite(padded_word_norms(broken, words)).all()
+        with pytest.raises(ValueError, match="non-finite"):
+            word_norms(broken, words)
 
 
 class TestEvalAndBridge:
